@@ -33,6 +33,7 @@ from . import io as repro_io
 from . import telemetry
 from .anonymize import AnonymizationCycle, LocalSuppression
 from .data import generate_dataset
+from .errors import ReproError
 from .model import semantics_by_name
 from .risk import measure_by_name
 
@@ -140,11 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "and evaluate tuple-at-a-time instead of the "
                         "columnar batch executor (same as "
                         "CHASE_COLUMNAR=0)")
-    engine.add_argument("--parallelism", type=int, default=None,
-                        metavar="N",
-                        help="worker count for the parallel chase "
-                        "(same as CHASE_PARALLELISM; 0/1 = serial; "
-                        "output is bit-identical at any count)")
     engine.add_argument("--check-warded", action="store_true",
                         help="fail if the program is not warded")
     engine.add_argument("--no-preflight", action="store_true",
@@ -327,7 +323,6 @@ def _command_engine(args) -> int:
         preflight=not args.no_preflight,
         use_plans=False if args.legacy_enumeration else None,
         use_columnar=False if args.no_columnar else None,
-        parallelism=args.parallelism,
     )
     if args.rule_profile:
         print("\n--- compiled join plans ---", file=sys.stderr)
@@ -583,6 +578,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     try:
         return handlers[args.command](args)
+    except ReproError as error:
+        # Bad input (malformed CSV, invalid weights, unparsable or
+        # rejected programs...) is one stderr line and exit 3, never a
+        # traceback; see "Command line" in the README.
+        message = " ".join(str(error).splitlines())
+        print(f"error: {message}", file=sys.stderr)
+        return 3
+    except OSError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
         if observing:
             if args.profile:

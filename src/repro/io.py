@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from .errors import SchemaError
 from .model.microdata import MicrodataDB
@@ -95,9 +95,16 @@ def schema_from_dict(payload: Dict) -> MicrodataSchema:
     categories: Dict[str, AttributeCategory] = {}
     descriptions: Dict[str, str] = {}
     for entry in entries:
-        name = entry["name"]
+        try:
+            name = entry["name"]
+            label = entry["category"]
+        except (KeyError, TypeError):
+            raise SchemaError(
+                f"schema attribute entry {entry!r} needs a 'name' and a "
+                "'category'"
+            ) from None
         names.append(name)
-        categories[name] = AttributeCategory.from_label(entry["category"])
+        categories[name] = AttributeCategory.from_label(label)
         if entry.get("description"):
             descriptions[name] = entry["description"]
     return MicrodataSchema(names, categories, descriptions)
@@ -135,7 +142,13 @@ def load_csv(
     name: Optional[str] = None,
 ) -> MicrodataDB:
     """Load a microdata DB from CSV plus schema (object, path, or the
-    default ``<csv>.schema.json`` sidecar)."""
+    default ``<csv>.schema.json`` sidecar).
+
+    Malformed input raises :class:`~repro.errors.SchemaError` naming
+    the file (and ``file:line`` for a bad row): a row whose field
+    count differs from the header's, a cell its column type cannot
+    parse, text that is not UTF-8 or not CSV, and — via
+    :class:`MicrodataDB` — a weight that is not a positive number."""
     csv_path = Path(csv_path)
     if schema is None:
         schema = csv_path.with_suffix(".schema.json")
@@ -147,28 +160,59 @@ def load_csv(
                 f"schema file {schema_file} not found; pass a "
                 "MicrodataSchema or a JSON sidecar path"
             )
-        with open(schema_file, encoding="utf-8") as handle:
-            payload = json.load(handle)
+        try:
+            with open(schema_file, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except ValueError as error:  # JSON or UTF-8 decoding
+            raise SchemaError(
+                f"schema file {schema_file} is not valid JSON: {error}"
+            ) from None
         schema = schema_from_dict(payload)
         types = payload.get("types", {})
     with open(csv_path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
+            missing = [a for a in schema.attributes if a not in header]
+            if missing:
+                raise SchemaError(
+                    f"CSV header misses schema attribute(s): {missing}"
+                )
+            rows = [
+                _decode_row(header, record, schema.attributes, types)
+                for record in reader
+            ]
         except StopIteration:
             raise SchemaError(f"{csv_path} is empty") from None
-        missing = [a for a in schema.attributes if a not in header]
-        if missing:
+        except (csv.Error, UnicodeDecodeError, SchemaError) as error:
             raise SchemaError(
-                f"CSV header misses schema attribute(s): {missing}"
-            )
-        rows = []
-        for record in reader:
-            values = dict(zip(header, record))
-            rows.append(
-                {
-                    a: _decode_cell(values[a], types.get(a))
-                    for a in schema.attributes
-                }
-            )
+                f"{csv_path}:{reader.line_num}: {error}"
+            ) from None
     return MicrodataDB(name or csv_path.stem, schema, rows)
+
+
+def _decode_row(
+    header: List[str],
+    record: List[str],
+    attributes: Sequence[str],
+    types: Dict[str, str],
+) -> Dict[str, Any]:
+    """One CSV record as a row over ``attributes``."""
+    if len(record) != len(header):
+        raise SchemaError(
+            f"expected {len(header)} fields as in the header, "
+            f"got {len(record)}"
+        )
+    values = dict(zip(header, record))
+    row = {}
+    for attribute in attributes:
+        try:
+            row[attribute] = _decode_cell(
+                values[attribute], types.get(attribute)
+            )
+        except ValueError:
+            raise SchemaError(
+                f"cannot parse {values[attribute]!r} in column "
+                f"{attribute!r}"
+            ) from None
+    return row

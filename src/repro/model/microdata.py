@@ -11,6 +11,7 @@ kept for information-loss accounting.
 from __future__ import annotations
 
 import copy
+import math
 from typing import (
     Any,
     Dict,
@@ -34,6 +35,18 @@ def is_suppressed(value: Any) -> bool:
     return isinstance(value, LabelledNull)
 
 
+def _valid_weight(value: Any) -> bool:
+    """A weight cell is valid when suppressed, missing, or a finite
+    number above zero — ρ = 1/ΣW is meaningless for anything else."""
+    if value is None or is_suppressed(value):
+        return True
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return False
+    return 0 < number < math.inf
+
+
 class MicrodataDB:
     """A named microdata relation M(i, q, a, W)."""
 
@@ -46,6 +59,7 @@ class MicrodataDB:
         self.name = name
         self.schema = schema
         self.rows: List[Dict[str, Any]] = []
+        weight = schema.weight_attribute
         for index, row in enumerate(rows):
             normalized = dict(row)
             missing = [a for a in schema.attributes if a not in normalized]
@@ -59,6 +73,12 @@ class MicrodataDB:
                 raise SchemaError(
                     f"row {index} of {name!r} has unknown attribute(s) "
                     f"{', '.join(extra)}"
+                )
+            if weight is not None and not _valid_weight(normalized[weight]):
+                raise SchemaError(
+                    f"row {index} of {name!r} has weight "
+                    f"{normalized[weight]!r} in {weight!r}; a sampling "
+                    "weight must be a positive finite number"
                 )
             self.rows.append(normalized)
 

@@ -48,8 +48,10 @@ class Counter:
     """A monotonically increasing count.
 
     ``+=`` on a Python int is read-modify-write, so concurrent
-    emitters (the parallel chase's worker threads) would lose
-    increments without the lock.
+    emitters would lose increments without the lock.  The registry is
+    shared across threads: :class:`~repro.telemetry.MetricsHTTPServer`
+    snapshots it from its serving thread while the run writes, and any
+    instrumented code may run on a thread of its own.
     """
 
     __slots__ = ("value", "_lock")

@@ -1,13 +1,18 @@
 """Persistence (CSV/JSON) and CLI tests."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import io as repro_io
 from repro.cli import main
+from repro.data import inflation_growth_fragment
 from repro.errors import SchemaError
-from repro.model import AttributeCategory, MicrodataSchema
+from repro.model import AttributeCategory, MicrodataDB, MicrodataSchema
 from repro.vadalog.terms import LabelledNull
 
 
@@ -177,3 +182,159 @@ class TestCli:
         )
         exit_code = main(["engine", str(program), "--check-warded"])
         assert exit_code == 3
+
+
+class TestIngestValidation:
+    """Malformed rows and weights fail with a ``SchemaError`` that
+    names where the problem is."""
+
+    def write(self, tmp_path, db, edit):
+        path = tmp_path / "data.csv"
+        repro_io.save_csv(db, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(lines)))
+        return path
+
+    def test_truncated_row_names_file_and_line(self, ig_db, tmp_path):
+        path = self.write(
+            tmp_path, ig_db,
+            lambda lines: lines[:3] + ["17,North\n"] + lines[3:],
+        )
+        with pytest.raises(SchemaError, match=r"data\.csv:4: expected"):
+            repro_io.load_csv(path)
+
+    def test_unparsable_typed_cell(self, ig_db, tmp_path):
+        path = self.write(
+            tmp_path, ig_db,
+            lambda lines: lines[:2] + [
+                lines[2].rsplit(",", 1)[0] + ",abc\n"
+            ],
+        )
+        with pytest.raises(SchemaError, match=r"data\.csv:3: .*'abc'"):
+            repro_io.load_csv(path)
+
+    @pytest.mark.parametrize("weight", [0, -5, -0.5, "abc", float("nan"),
+                                        float("inf")])
+    def test_invalid_weight_rejected(self, ig_db, weight):
+        rows = [dict(row) for row in ig_db.rows]
+        rows[3]["Weight"] = weight
+        with pytest.raises(SchemaError, match="row 3"):
+            MicrodataDB(ig_db.name, ig_db.schema, rows)
+
+    @pytest.mark.parametrize("weight", [None, LabelledNull(9), 0.25, "2"])
+    def test_valid_or_absent_weight_accepted(self, ig_db, weight):
+        rows = [dict(row) for row in ig_db.rows]
+        rows[3]["Weight"] = weight
+        MicrodataDB(ig_db.name, ig_db.schema, rows)
+
+    def test_schema_sidecar_must_be_json(self, ig_db, tmp_path):
+        path = tmp_path / "data.csv"
+        repro_io.save_csv(ig_db, path)
+        path.with_suffix(".schema.json").write_text("{not json")
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            repro_io.load_csv(path)
+
+
+#: Bytes that most often break a CSV reader or a typed cell parser.
+_HOSTILE_BYTES = st.sampled_from(
+    [b",", b"\n", b"\r", b'"', b"\x00", b"\xff", b"-", b"#NULL:",
+     b"#NULL:x", b"a", b"0", b" ", b"nan", b"inf"]
+) | st.binary(min_size=1, max_size=3)
+
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "replace", "delete", "truncate"]),
+        st.floats(min_value=0.0, max_value=1.0),
+        _HOSTILE_BYTES,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    for operation, where, chunk in mutations:
+        at = int(where * len(data))
+        if operation == "insert":
+            data = data[:at] + chunk + data[at:]
+        elif operation == "replace":
+            data = data[:at] + chunk + data[at + len(chunk):]
+        elif operation == "delete":
+            data = data[:at] + data[at + len(chunk):]
+        else:
+            data = data[:at]
+    return data
+
+
+class TestIngestFuzz:
+    @settings(settings.get_profile("ci"))
+    @given(mutations=_MUTATIONS)
+    def test_mutated_csv_loads_or_raises_schema_error(self, mutations):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "ig.csv"
+            repro_io.save_csv(inflation_growth_fragment(), path)
+            path.write_bytes(_mutate(path.read_bytes(), mutations))
+            try:
+                loaded = repro_io.load_csv(path)
+            except SchemaError:
+                return
+            assert isinstance(loaded, MicrodataDB)
+
+
+class TestCliErrorBoundary:
+    """Every rejected input exits 3 with one ``error:`` line on
+    stderr, never a traceback."""
+
+    def assert_rejected(self, capsys, argv, fragment):
+        exit_code = main(argv)
+        err = capsys.readouterr().err
+        assert exit_code == 3
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("error: ")
+        assert fragment in lines[0]
+        assert "Traceback" not in err
+
+    def dataset(self, tmp_path, edit):
+        path = tmp_path / "data.csv"
+        main(["generate", "R6A4U", "--scale", "20", "-o", str(path)])
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(lines)))
+        return path
+
+    def test_truncated_row(self, tmp_path, capsys):
+        path = self.dataset(
+            tmp_path, lambda lines: lines[:2] + ["1,Center\n"] + lines[2:]
+        )
+        self.assert_rejected(
+            capsys, ["assess", str(path)], "data.csv:3: expected"
+        )
+
+    @pytest.mark.parametrize("weight", ["abc", "-5"])
+    def test_bad_weight(self, tmp_path, capsys, weight):
+        path = self.dataset(
+            tmp_path,
+            lambda lines: lines[:1] + [
+                lines[1].rsplit(",", 1)[0] + f",{weight}\n"
+            ] + lines[2:],
+        )
+        self.assert_rejected(capsys, ["assess", str(path)], weight)
+
+    def test_missing_schema_sidecar(self, tmp_path, capsys):
+        path = tmp_path / "orphan.csv"
+        path.write_text("A\n1\n")
+        self.assert_rejected(
+            capsys, ["anonymize", str(path), "-o", str(tmp_path / "o.csv")],
+            "schema file",
+        )
+
+    def test_unparsable_program(self, tmp_path, capsys):
+        program = tmp_path / "bad.vada"
+        program.write_text("p(X) :- q(X\n")
+        self.assert_rejected(capsys, ["engine", str(program)], "expected")
+
+    def test_unreadable_file_exits_2(self, tmp_path, capsys):
+        exit_code = main(["engine", str(tmp_path / "missing.vada")])
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1

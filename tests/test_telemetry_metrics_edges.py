@@ -155,9 +155,9 @@ class TestMergeAssociativity:
 
 
 class TestThreadSafety:
-    """Concurrent instrument updates must lose nothing: the parallel
-    chase hammers counters, gauges, histograms and the event log from
-    stratum and shard workers simultaneously."""
+    """Concurrent instrument updates must lose nothing: the registry
+    and the event log are shared across threads (the metrics HTTP
+    server scrapes them while a run writes)."""
 
     THREADS = 8
     PER_THREAD = 2_000

@@ -235,98 +235,3 @@ class TestEngineVariant:
             mod._run_engine = real
         assert outcome.is_disagreement
         assert "planned" in outcome.detail
-
-
-class TestParallelismMode:
-    """The parallelism knob: bit-identical parallel/serial gating."""
-
-    def test_unknown_mode_rejected(self):
-        program = generate_program(random.Random(5), GeneratorConfig())
-        try:
-            run_one(program, parallelism="turbo")
-        except ValueError as exc:
-            assert "turbo" in str(exc)
-        else:  # pragma: no cover
-            raise AssertionError("expected ValueError")
-
-    def test_both_mode_gates_parallel_before_oracle(self):
-        report = run_conformance(
-            base_seed=78100, examples=15, parallelism="both"
-        )
-        assert report.disagreements == []
-
-    def test_parallel_mode_agrees_with_oracle(self):
-        report = run_conformance(
-            base_seed=78200, examples=15, parallelism="parallel"
-        )
-        assert report.disagreements == []
-
-    def test_artifact_records_parallelism(self, tmp_path):
-        config = GeneratorConfig()
-        program = generate_program(random.Random(78001), config)
-        outcome = run_one(program, parallelism="both")
-        outcome.seed = 78001
-        path = write_artifact(
-            str(tmp_path), 78001, 78000, config, outcome, program,
-            minimized=None, max_rounds=400, max_facts=4000,
-            termination="restricted", engine_variant="planned",
-            backend="dict", parallelism="both",
-        )
-        payload = json.loads(open(path).read())
-        assert payload["parallelism"] == "both"
-        replayed = replay_artifact(path)
-        assert replayed.status == outcome.status
-
-    def test_parallel_divergence_is_caught(self):
-        # Sabotage the parallel lane: a fact smuggled only into
-        # parallel runs must surface as parallel-diverged, proving
-        # the gate actually compares the two execution modes.
-        from repro.testing import conformance as mod
-        from repro.vadalog.atoms import Atom
-
-        program = generate_program(random.Random(9), GeneratorConfig())
-        real = mod._run_engine
-
-        def crooked(prog, max_rounds, max_facts, termination,
-                    use_plans=True, backend="dict", parallelism=0,
-                    provenance=False):
-            run = real(prog, max_rounds, max_facts, termination,
-                       use_plans=use_plans, backend=backend,
-                       parallelism=parallelism, provenance=provenance)
-            if parallelism > 1 and run.kind == "ok":
-                run.facts = run.facts | {Atom.of("smuggled", 1)}
-            return run
-
-        mod._run_engine = crooked
-        try:
-            outcome = run_one(program, parallelism="both")
-        finally:
-            mod._run_engine = real
-        assert outcome.status == "parallel-diverged"
-        assert outcome.is_disagreement
-
-    def test_round_skew_is_caught(self):
-        # Same facts, different round count: weaker harnesses would
-        # call that agreement; the bit-identical gate must not.
-        from repro.testing import conformance as mod
-
-        program = generate_program(random.Random(9), GeneratorConfig())
-        real = mod._run_engine
-
-        def skewed(prog, max_rounds, max_facts, termination,
-                   use_plans=True, backend="dict", parallelism=0,
-                   provenance=False):
-            run = real(prog, max_rounds, max_facts, termination,
-                       use_plans=use_plans, backend=backend,
-                       parallelism=parallelism, provenance=provenance)
-            if parallelism > 1 and run.kind == "ok":
-                run.rounds = (run.rounds or 0) + 1
-            return run
-
-        mod._run_engine = skewed
-        try:
-            outcome = run_one(program, parallelism="both")
-        finally:
-            mod._run_engine = real
-        assert outcome.status == "parallel-diverged"
-        assert "round" in outcome.detail

@@ -383,8 +383,6 @@ class TestExplainCli:
         assert f"explain document written to {json_path}" in err
 
     def test_preflight_gate_applies(self, tmp_path, capsys):
-        from repro.errors import StaticAnalysisError
-
         path = tmp_path / "bad.vada"
         # Unstratifiable negation: VDL010, error severity.
         path.write_text(
@@ -392,8 +390,11 @@ class TestExplainCli:
             "q(X) :- b(X), not p(X).\n"
             "b(1).\n"
         )
-        with pytest.raises(StaticAnalysisError):
-            cli_main(["explain", str(path)])
+        # The CLI's error boundary reports the StaticAnalysisError as
+        # one line and exit 3.
+        assert cli_main(["explain", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "VDL010" in err
         # --no-preflight skips the gate and explains anyway.
         assert cli_main(["explain", str(path), "--no-preflight"]) == 0
         assert "EXPLAIN: 2 rule(s)" in capsys.readouterr().out
