@@ -112,9 +112,9 @@ def tracker_vs_recompute():
     factory = NullFactory()
     # Suppress a handful of cells so null rows exist.
     for row in range(0, 40, 4):
-        old_key = tracker.before_change(row)
+        old_values = tracker.before_change(row)
         method.apply(db, row, attributes[row % len(attributes)], factory)
-        tracker.after_change(row, old_key)
+        tracker.after_change(row, old_values)
 
     probes = list(range(0, len(db), 7))
     start = time.perf_counter()

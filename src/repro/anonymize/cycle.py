@@ -28,18 +28,13 @@ the paper's explainability guarantee.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from .. import telemetry
 from ..errors import AnonymizationError
+from ..model.groups import GroupIndex, masked_sum
 from ..model.microdata import MicrodataDB, is_suppressed
-from ..model.nulls import (
-    MAYBE_MATCH,
-    MaybeMatchSemantics,
-    NullSemantics,
-    StandardSemantics,
-)
+from ..model.nulls import MAYBE_MATCH, NullSemantics
 from ..risk.base import RiskMeasure, RiskReport
 from ..risk.cluster import propagate_over_clusters
 from ..vadalog.terms import NullFactory
@@ -56,10 +51,10 @@ from . import metrics as _metrics
 class GroupTracker:
     """Incremental =⊥-group statistics under suppression/recoding.
 
-    Maintains, per quasi-identifier combination, the exact count and
-    weight sum of null-free rows, plus the set of null-carrying rows,
-    so a single row's current group frequency can be rechecked in
-    O(|null rows|) instead of a full pass.
+    Keeps one :class:`~repro.model.groups.GroupIndex` over the working
+    dataset and moves each changed cell in it, so a row's current group
+    frequency is a popcount and its weight sum a masked sum, with no
+    rescan of the rows.
     """
 
     def __init__(
@@ -72,82 +67,25 @@ class GroupTracker:
         self.attributes = list(attributes)
         self.semantics = semantics
         self.weights = db.weights()
-        self.counts: Counter = Counter()
-        self.weight_sums: Dict[Tuple, float] = defaultdict(float)
-        self.null_rows: Set[int] = set()
-        for index in range(len(db)):
-            key = self._key(index)
-            if key is None:
-                self.null_rows.add(index)
-            else:
-                self.counts[key] += 1
-                self.weight_sums[key] += self.weights[index]
-
-    def _key(self, index: int) -> Optional[Tuple]:
-        row = self.db.rows[index]
-        values = []
-        for attribute in self.attributes:
-            value = row[attribute]
-            if is_suppressed(value):
-                if isinstance(self.semantics, StandardSemantics):
-                    values.append(value)  # a null is just another value
-                else:
-                    return None
-            else:
-                values.append(value)
-        return tuple(values)
+        self.index = GroupIndex(db, self.attributes, semantics)
 
     def stats(self, index: int) -> Tuple[int, float]:
         """Current (=⊥-match count, matched weight sum) for a row."""
-        key = self._key(index)
-        if key is not None:
-            count = self.counts[key]
-            weight_sum = self.weight_sums[key]
-            for other in self.null_rows:
-                if self._row_matches(other, index):
-                    count += 1
-                    weight_sum += self.weights[other]
-            return count, weight_sum
-        # Null-carrying row under maybe-match: full scan.
+        group = self.index.row_group(index)
+        return group.bit_count(), masked_sum(group, self.weights)
+
+    def before_change(self, index: int) -> Tuple:
+        """Capture the row's QI values before the method mutates it."""
+        return self.db.qi_values(index, self.index.attributes)
+
+    def after_change(self, index: int, old_values: Tuple) -> None:
+        """Move the row's changed cells after a suppression or
+        recoding."""
         row = self.db.rows[index]
-        combination = [(a, row[a]) for a in self.attributes]
-        count = 0
-        weight_sum = 0.0
-        for other in range(len(self.db)):
-            if self.semantics.matches_combination(
-                self.db.rows[other], combination
-            ):
-                count += 1
-                weight_sum += self.weights[other]
-        return count, weight_sum
-
-    def _row_matches(self, data_index: int, query_index: int) -> bool:
-        query = self.db.rows[query_index]
-        combination = [(a, query[a]) for a in self.attributes]
-        return self.semantics.matches_combination(
-            self.db.rows[data_index], combination
-        )
-
-    def before_change(self, index: int) -> Optional[Tuple]:
-        """Capture the row's key before the method mutates it."""
-        return self._key(index)
-
-    def after_change(self, index: int, old_key: Optional[Tuple]) -> None:
-        """Re-register the row after a suppression or recoding."""
-        if old_key is not None:
-            self.counts[old_key] -= 1
-            self.weight_sums[old_key] -= self.weights[index]
-            if self.counts[old_key] <= 0:
-                del self.counts[old_key]
-                self.weight_sums.pop(old_key, None)
-        else:
-            self.null_rows.discard(index)
-        new_key = self._key(index)
-        if new_key is None:
-            self.null_rows.add(index)
-        else:
-            self.counts[new_key] += 1
-            self.weight_sums[new_key] += self.weights[index]
+        for attribute, old in zip(self.index.attributes, old_values):
+            new = row[attribute]
+            if new != old:
+                self.index.move(index, attribute, old, new)
 
 
 class CycleResult:
@@ -295,6 +233,9 @@ class AnonymizationCycle:
         initial_risky: List[int] = []
         converged = False
         attributes = self.attributes or working.quasi_identifiers
+        # One tracker for the whole run: it sees every change the cycle
+        # makes, so its index stays current from pass to pass.
+        tracker: Optional[GroupTracker] = None
 
         iteration = 0
         while iteration < self.max_iterations:
@@ -326,11 +267,8 @@ class AnonymizationCycle:
                 break
             ordered = self.tuple_ordering(working, actionable, report)
             self.qi_selection.prepare(working, attributes, self.semantics)
-            tracker = (
-                GroupTracker(working, attributes, self.semantics)
-                if self.recheck and self._supports_recheck()
-                else None
-            )
+            if tracker is None and self.recheck and self._supports_recheck():
+                tracker = GroupTracker(working, attributes, self.semantics)
             acted = 0
             suppressed_now = 0
             recoded_now = 0
@@ -387,7 +325,7 @@ class AnonymizationCycle:
                     [str(v) for v in working.qi_values(row, attributes)]
                     if observing else None
                 )
-                old_key = (
+                old_values = (
                     tracker.before_change(row) if tracker is not None else None
                 )
                 step = self.method.apply(
@@ -439,7 +377,7 @@ class AnonymizationCycle:
                         qi_values=qi_values_before,
                     )
                 if tracker is not None:
-                    tracker.after_change(row, old_key)
+                    tracker.after_change(row, old_values)
             if telemetry.state.enabled:
                 self._record_iteration(
                     working, report, iteration, len(risky), acted,

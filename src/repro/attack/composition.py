@@ -17,11 +17,11 @@ one-to-one bridges.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import ReproError
-from ..model.microdata import MicrodataDB, is_suppressed
+from ..model.groups import GroupIndex
+from ..model.microdata import MicrodataDB
 from ..model.nulls import MAYBE_MATCH, NullSemantics
 
 
@@ -48,41 +48,11 @@ def composition_links(
         raise ReproError(
             "the two releases share no quasi-identifier to join on"
         )
-    # Index the exact (null-free) rows of the second release; null rows
-    # are checked one by one (they are the anonymized minority).
-    exact_index: Dict[Tuple, int] = defaultdict(int)
-    null_rows: List[int] = []
-    for index in range(len(second)):
-        row = second.rows[index]
-        if any(is_suppressed(row[a]) for a in attributes):
-            null_rows.append(index)
-        else:
-            exact_index[tuple(row[a] for a in attributes)] += 1
-
-    counts: List[int] = []
-    for index in range(len(first)):
-        row = first.rows[index]
-        combination = [(a, row[a]) for a in attributes]
-        if any(is_suppressed(value) for _, value in combination):
-            # Wildcarded probe: fall back to a scan of the second side.
-            matches = sum(
-                1
-                for other in range(len(second))
-                if semantics.matches_combination(
-                    second.rows[other], combination
-                )
-            )
-        else:
-            matches = exact_index.get(
-                tuple(value for _, value in combination), 0
-            )
-            for other in null_rows:
-                if semantics.matches_combination(
-                    second.rows[other], combination
-                ):
-                    matches += 1
-        counts.append(matches)
-    return counts
+    index = GroupIndex(second, attributes, semantics)
+    return [
+        index.group([row[a] for a in index.attributes]).bit_count()
+        for row in first.rows
+    ]
 
 
 def composition_risk(

@@ -37,6 +37,10 @@ from .errors import ReproError
 from .model import semantics_by_name
 from .risk import measure_by_name
 
+#: Exit code of an ``anonymize`` run whose cycle did not converge: the
+#: shared view is written, but some tuple is still above the threshold.
+EXIT_NOT_CONVERGED = 4
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -290,7 +294,7 @@ def _command_anonymize(args) -> int:
     )
     path = repro_io.save_csv(output_db, args.output)
     print(f"wrote anonymized view to {path}")
-    return 0 if result.converged else 2
+    return 0 if result.converged else EXIT_NOT_CONVERGED
 
 
 def _command_report(args) -> int:

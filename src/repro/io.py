@@ -14,6 +14,7 @@ data this framework targets.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -150,6 +151,10 @@ def load_csv(
     parse, text that is not UTF-8 or not CSV, and — via
     :class:`MicrodataDB` — a weight that is not a positive number."""
     csv_path = Path(csv_path)
+    if not csv_path.exists():
+        raise FileNotFoundError(
+            errno.ENOENT, "dataset CSV not found", str(csv_path)
+        )
     if schema is None:
         schema = csv_path.with_suffix(".schema.json")
     types: Dict[str, str] = {}

@@ -35,6 +35,13 @@ def is_suppressed(value: Any) -> bool:
     return isinstance(value, LabelledNull)
 
 
+def _weight(cell: Any, default: float) -> float:
+    """A weight cell's value: ``default`` when missing or suppressed."""
+    if cell is None or isinstance(cell, LabelledNull):
+        return default
+    return float(cell)
+
+
 def _valid_weight(value: Any) -> bool:
     """A weight cell is valid when suppressed, missing, or a finite
     number above zero — ρ = 1/ΣW is meaningless for anything else."""
@@ -106,13 +113,13 @@ class MicrodataDB:
         attribute = self.weight_attribute
         if attribute is None:
             return default
-        value = self.rows[index].get(attribute)
-        if value is None or is_suppressed(value):
-            return default
-        return float(value)
+        return _weight(self.rows[index].get(attribute), default)
 
     def weights(self) -> List[float]:
-        return [self.weight_of(i) for i in range(len(self.rows))]
+        attribute = self.weight_attribute
+        if attribute is None:
+            return [1.0] * len(self.rows)
+        return [_weight(row.get(attribute), 1.0) for row in self.rows]
 
     def qi_values(
         self, index: int, attributes: Optional[Sequence[str]] = None
@@ -146,9 +153,14 @@ class MicrodataDB:
     # -- mutation-by-copy -------------------------------------------------------
 
     def copy(self) -> "MicrodataDB":
-        return MicrodataDB(
-            self.name, self.schema, [dict(row) for row in self.rows]
-        )
+        """A copy with its own row dicts and the same schema.  The rows
+        were validated when this dataset was built, so they are copied
+        without checking them again."""
+        clone = object.__new__(MicrodataDB)
+        clone.name = self.name
+        clone.schema = self.schema
+        clone.rows = [dict(row) for row in self.rows]
+        return clone
 
     def with_value(
         self, index: int, attribute: str, value: Any

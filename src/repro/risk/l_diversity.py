@@ -17,12 +17,12 @@ the cycle converges under maybe-match semantics like k-anonymity does.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import ReproError
-from ..model.microdata import MicrodataDB, is_suppressed
-from ..model.nulls import MAYBE_MATCH, NullSemantics, StandardSemantics
+from ..model.groups import GroupIndex, index_column, set_bits
+from ..model.microdata import MicrodataDB
+from ..model.nulls import MAYBE_MATCH, NullSemantics
 from .base import RiskMeasure, RiskReport, register_measure
 
 
@@ -32,52 +32,24 @@ def sensitive_diversity(
     attributes: Sequence[str],
     semantics: NullSemantics = MAYBE_MATCH,
 ) -> List[int]:
-    """Per row: distinct sensitive values among its =⊥-matching rows."""
-    n = len(db)
-    if isinstance(semantics, StandardSemantics):
-        groups: Dict[Tuple, Set[Any]] = defaultdict(set)
-        keys = []
-        for index in range(n):
-            key = tuple(db.rows[index][a] for a in attributes)
-            keys.append(key)
-            groups[key].add(db.rows[index][sensitive])
-        return [len(groups[keys[index]]) for index in range(n)]
+    """Per row: distinct sensitive values among its =⊥-matching rows.
 
-    # Maybe-match: group membership is per-row; reuse the pattern-join
-    # trick only for the common no-null case, scanning for null rows.
-    null_rows = [
-        index
-        for index in range(n)
-        if any(is_suppressed(db.rows[index][a]) for a in attributes)
-    ]
-    exact_values: Dict[Tuple, Set[Any]] = defaultdict(set)
-    for index in range(n):
-        if index in set(null_rows):
-            continue
-        key = tuple(db.rows[index][a] for a in attributes)
-        exact_values[key].add(db.rows[index][sensitive])
-
-    diversities = []
-    for index in range(n):
-        row = db.rows[index]
-        combination = [(a, row[a]) for a in attributes]
-        if any(is_suppressed(value) for _, value in combination):
-            values = {
-                db.rows[other][sensitive]
-                for other in range(n)
-                if semantics.matches_combination(
-                    db.rows[other], combination
-                )
-            }
+    A group is intersected with each sensitive value's bitset, or, when
+    it has fewer members than there are sensitive values, its members'
+    values are read directly.
+    """
+    values = [row[sensitive] for row in db.rows]
+    holders = list(index_column(values, False)[0].values())
+    index = GroupIndex(db, attributes, semantics)
+    diversities = [0] * len(db)
+    for qi_tuple, rows in index.distinct().items():
+        group = index.group(qi_tuple)
+        if group.bit_count() < len(holders):
+            diversity = len({values[member] for member in set_bits(group)})
         else:
-            key = tuple(value for _, value in combination)
-            values = set(exact_values.get(key, set()))
-            for other in null_rows:
-                if semantics.matches_combination(
-                    db.rows[other], combination
-                ):
-                    values.add(db.rows[other][sensitive])
-        diversities.append(len(values))
+            diversity = sum(1 for holder in holders if group & holder)
+        for row in rows:
+            diversities[row] = diversity
     return diversities
 
 

@@ -9,24 +9,25 @@ values suffice to single the tuple out.
 Per Rule 8 of Algorithm 6, the off-the-shelf risk is thresholded:
 a tuple is dangerous (risk 1) when it has an MSU of size < k.
 
-The search enumerates attribute subsets in ascending size, counting
-projections over the whole dataset per subset (one dictionary pass), and
-prunes supersets of already-found MSUs — the same preemptive pruning
-the paper attributes to the Vadalog "greedy activation of Rule 7",
-which is why Fig. 7f shows no combinatorial blow-up.  A SUDA2-style
-DIS score is also exposed as an extension.
+The search enumerates attribute subsets in ascending size.  A row is
+unique on a subset when the AND of its cell masks in the
+:class:`~repro.model.groups.GroupIndex` holds its own bit only.
+Supersets of already-found MSUs are pruned before any mask work — the
+same preemptive pruning the paper attributes to the Vadalog "greedy
+activation of Rule 7", which is why Fig. 7f shows no combinatorial
+blow-up.  A SUDA2-style DIS score is also exposed as an extension.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..errors import ReproError
-from ..model.microdata import MicrodataDB, is_suppressed
-from ..model.nulls import MAYBE_MATCH, NullSemantics, StandardSemantics
+from ..model.groups import GroupIndex
+from ..model.microdata import MicrodataDB
+from ..model.nulls import MAYBE_MATCH, NullSemantics
 from .base import RiskMeasure, RiskReport, register_measure
 
 
@@ -41,71 +42,42 @@ def find_minimal_sample_uniques(
     ``max_size`` bounds the subset size inspected (SUDA's usual cap);
     None inspects all sizes up to the number of attributes.
     """
-    attributes = list(attributes)
+    index = GroupIndex(db, attributes, semantics)
+    attributes = index.attributes
     if max_size is None:
         max_size = len(attributes)
-    msus: Dict[int, List[FrozenSet[str]]] = defaultdict(list)
-    null_rows = _rows_with_nulls(db, attributes)
-
+    # A row's group only grows as attributes are dropped, so a row can
+    # be sample unique on some subset only if it is unique on all of
+    # them (rows sharing their whole QI tuple never are).
+    candidates = []
+    for qi_tuple, rows in index.distinct().items():
+        group = index.group(qi_tuple)
+        if not group & (group - 1):
+            candidates.append((rows[0], index.cell_masks(qi_tuple), []))
+    # MSUs are tracked as bitmasks over attribute positions while the
+    # search runs; ``found_order`` keeps rows in order of first MSU.
+    found_order = []
     for size in range(1, max_size + 1):
-        for subset in itertools.combinations(attributes, size):
-            subset_set = frozenset(subset)
-            counter: Counter = Counter()
-            keys: List[Optional[Tuple]] = []
-            for index in range(len(db)):
-                if index in null_rows:
-                    keys.append(None)  # handled by slow path below
-                    continue
-                key = tuple(db.rows[index][a] for a in subset)
-                keys.append(key)
-                counter[key] += 1
-            for index in range(len(db)):
-                key = keys[index]
-                if key is None:
-                    unique = _is_unique_slow(
-                        db, index, subset, semantics
-                    )
-                elif counter[key] != 1:
-                    continue
-                elif null_rows:
-                    # Exact-unique, but a null row may still maybe-match.
-                    unique = _is_unique_slow(db, index, subset, semantics)
-                else:
-                    unique = True
-                if not unique:
-                    continue
-                if any(
-                    existing < subset_set or existing == subset_set
-                    for existing in msus[index]
-                ):
+        for positions in itertools.combinations(range(len(attributes)), size):
+            subset = sum(1 << position for position in positions)
+            first, rest = positions[0], positions[1:]
+            for row, cells, found in candidates:
+                if found and any(known & subset == known for known in found):
                     continue  # superset of a known MSU: not minimal
-                msus[index].append(subset_set)
-    return dict(msus)
-
-
-def _rows_with_nulls(db: MicrodataDB, attributes: Sequence[str]):
+                group = cells[first]
+                for position in rest:
+                    group &= cells[position]
+                if not group & (group - 1):  # the row matches only itself
+                    if not found:
+                        found_order.append((row, found))
+                    found.append(subset)
     return {
-        index
-        for index in range(len(db))
-        if any(is_suppressed(db.rows[index][a]) for a in attributes)
+        row: [
+            frozenset(a for p, a in enumerate(attributes) if known >> p & 1)
+            for known in found
+        ]
+        for row, found in found_order
     }
-
-
-def _is_unique_slow(
-    db: MicrodataDB,
-    index: int,
-    subset: Sequence[str],
-    semantics: NullSemantics,
-) -> bool:
-    row = db.rows[index]
-    combination = [(a, row[a]) for a in subset]
-    matches = 0
-    for other_index in range(len(db)):
-        if semantics.matches_combination(db.rows[other_index], combination):
-            matches += 1
-            if matches > 1:
-                return False
-    return matches == 1
 
 
 def suda_dis_scores(

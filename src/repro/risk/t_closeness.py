@@ -17,13 +17,14 @@ instantiation.)
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..anonymize.utility import total_variation
 from ..errors import ReproError
-from ..model.microdata import MicrodataDB, is_suppressed
-from ..model.nulls import MAYBE_MATCH, NullSemantics, StandardSemantics
+from ..model.groups import GroupIndex, index_column, set_bits
+from ..model.microdata import MicrodataDB
+from ..model.nulls import MAYBE_MATCH, NullSemantics
 from .base import RiskMeasure, RiskReport, register_measure
 
 
@@ -41,61 +42,32 @@ def group_closeness(
     semantics: NullSemantics = MAYBE_MATCH,
 ) -> List[float]:
     """Per row: TV distance between the sensitive distribution of its
-    =⊥-group and the global sensitive distribution."""
-    n = len(db)
-    global_distribution = _distribution(
-        Counter(db.rows[index][sensitive] for index in range(n))
-    )
+    =⊥-group and the global sensitive distribution.
 
-    if isinstance(semantics, StandardSemantics):
-        groups: Dict[Tuple, Counter] = defaultdict(Counter)
-        keys = []
-        for index in range(n):
-            key = tuple(db.rows[index][a] for a in attributes)
-            keys.append(key)
-            groups[key][db.rows[index][sensitive]] += 1
-        cache = {
-            key: total_variation(_distribution(counter),
-                                 global_distribution)
-            for key, counter in groups.items()
-        }
-        return [cache[keys[index]] for index in range(n)]
-
-    null_rows = [
-        index
-        for index in range(n)
-        if any(is_suppressed(db.rows[index][a]) for a in attributes)
-    ]
-    exact_groups: Dict[Tuple, Counter] = defaultdict(Counter)
-    null_set = set(null_rows)
-    for index in range(n):
-        if index in null_set:
-            continue
-        key = tuple(db.rows[index][a] for a in attributes)
-        exact_groups[key][db.rows[index][sensitive]] += 1
-
-    distances = []
-    for index in range(n):
-        row = db.rows[index]
-        combination = [(a, row[a]) for a in attributes]
-        if any(is_suppressed(value) for _, value in combination):
-            counter: Counter = Counter()
-            for other in range(n):
-                if semantics.matches_combination(
-                    db.rows[other], combination
-                ):
-                    counter[db.rows[other][sensitive]] += 1
+    A group's count of each sensitive value is the popcount of the
+    group AND the value's bitset or, when the group has fewer members
+    than there are sensitive values, a count over its members.
+    """
+    values = [row[sensitive] for row in db.rows]
+    holders = index_column(values, False)[0]
+    global_distribution = _distribution(Counter(values))
+    index = GroupIndex(db, attributes, semantics)
+    distances = [0.0] * len(db)
+    for qi_tuple, rows in index.distinct().items():
+        group = index.group(qi_tuple)
+        if group.bit_count() < len(holders):
+            counter = Counter(values[member] for member in set_bits(group))
         else:
-            key = tuple(value for _, value in combination)
-            counter = Counter(exact_groups.get(key, Counter()))
-            for other in null_rows:
-                if semantics.matches_combination(
-                    db.rows[other], combination
-                ):
-                    counter[db.rows[other][sensitive]] += 1
-        distances.append(
-            total_variation(_distribution(counter), global_distribution)
+            counter = Counter()
+            for value, holder in holders.items():
+                shared = (group & holder).bit_count()
+                if shared:
+                    counter[value] = shared
+        distance = total_variation(
+            _distribution(counter), global_distribution
         )
+        for row in rows:
+            distances[row] = distance
     return distances
 
 

@@ -20,7 +20,6 @@ dict-based indices.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Any, Tuple, Union
 
 
@@ -139,7 +138,7 @@ class LabelledNull(Term):
 
 
 class NullFactory:
-    """Thread-safe generator of fresh labelled nulls.
+    """Generator of fresh labelled nulls.
 
     The engine holds one factory per evaluation so labels restart at 1
     for every reasoning task — matching how the paper counts "injected
@@ -148,13 +147,11 @@ class NullFactory:
 
     def __init__(self, start: int = 1):
         self._counter = itertools.count(start)
-        self._lock = threading.Lock()
         self._issued = 0
 
     def fresh(self) -> LabelledNull:
-        with self._lock:
-            self._issued += 1
-            return LabelledNull(next(self._counter))
+        self._issued += 1
+        return LabelledNull(next(self._counter))
 
     @property
     def issued(self) -> int:

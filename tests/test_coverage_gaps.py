@@ -42,8 +42,10 @@ class TestGroupTrackerStandardSemantics:
         LocalSuppression().apply(db, 0, "Sector", NullFactory())
         tracker.after_change(0, old_key)
         # Under standard semantics a null is just another value: the
-        # tracker keeps the row in the exact counter, no null-row scan.
-        assert not tracker.null_rows
+        # index files the row under the null's own bitset, and no null
+        # bitset widens any other row's group.
+        assert tracker.index.nulls["Sector"] == 0
+        assert tracker.index.bits["Sector"][db.rows[0]["Sector"]] == 1
 
 
 class TestSurveyHierarchyCompleteness:

@@ -128,6 +128,21 @@ class TestCli:
         )
         assert exit_code == 0
 
+    def test_anonymize_not_converged_exits_4(self, tmp_path, capsys):
+        # k above the row count: no suppression can make a group large
+        # enough, so the cycle stops with risky tuples left.
+        data = repro_io.save_csv(
+            inflation_growth_fragment(), tmp_path / "ig.csv"
+        )
+        anon = tmp_path / "anon.csv"
+        exit_code = main(
+            ["anonymize", str(data), "--measure", "k-anonymity",
+             "--k", "100", "-o", str(anon)]
+        )
+        assert exit_code == 4
+        assert "converged=False" in capsys.readouterr().out
+        assert anon.exists()
+
     def test_anonymize_differential_measure(self, tmp_path, capsys):
         out = self.generate(tmp_path)
         anon = tmp_path / "anon.csv"
@@ -327,6 +342,18 @@ class TestCliErrorBoundary:
             capsys, ["anonymize", str(path), "-o", str(tmp_path / "o.csv")],
             "schema file",
         )
+
+    def test_missing_csv_is_named_before_its_sidecar(self, tmp_path,
+                                                     capsys):
+        missing = tmp_path / "missing.csv"
+        exit_code = main(["assess", str(missing)])
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(missing) in err
+        assert "schema" not in err
+        with pytest.raises(FileNotFoundError):
+            repro_io.load_csv(missing)
 
     def test_unparsable_program(self, tmp_path, capsys):
         program = tmp_path / "bad.vada"

@@ -161,7 +161,7 @@ class TestSemanticsProperties:
 
     @given(dataset_with_nulls())
     def test_counts_match_naive_quadratic(self, db):
-        """The pattern-join computation equals the O(n^2) definition."""
+        """The group-index computation equals the O(n^2) definition."""
         expected = []
         for i in range(len(db)):
             combination = [(a, db.rows[i][a]) for a in ["A", "B"]]
