@@ -2,15 +2,15 @@
 runnable locally.
 
 Runs a fixed-seed batch of generated warded programs through the chase
-engine's compiled-plan path, its legacy recursive enumerator AND the
-naive reference oracle (``engine_variant="both"``), asserting zero
-three-way disagreements up to null isomorphism.  The third argument
-selects the fact-store backend(s): ``both`` (the default) first gates
-columnar/dict agreement on every pair, ``dict`` keeps the run on the
-tuple-at-a-time backend only:
+engine AND the naive reference oracle, asserting zero disagreements up
+to null isomorphism.  The second argument selects the fact-store
+backend(s): ``both`` (the default) runs the columnar batch path and the
+dict row path and gates their agreement on every pair before the
+oracle check (three-way), ``dict`` or ``columnar`` keeps the run on one
+backend:
 
     PYTHONPATH=src python benchmarks/smoke_conformance.py \
-        [examples] [variant] [backend]
+        [examples] [backend]
 
 Exits non-zero if any pair disagrees; the failing seeds are minimized
 and written as replayable artifacts under ``conformance-artifacts/``.
@@ -37,13 +37,11 @@ BASE_SEED = 20260805
 
 def main() -> int:
     examples = int(sys.argv[1]) if len(sys.argv) > 1 else 500
-    variant = sys.argv[2] if len(sys.argv) > 2 else "both"
-    backend = sys.argv[3] if len(sys.argv) > 3 else "both"
+    backend = sys.argv[2] if len(sys.argv) > 2 else "both"
     report = run_conformance(
         base_seed=BASE_SEED,
         examples=examples,
         artifact_dir="conformance-artifacts",
-        engine_variant=variant,
         backend=backend,
     )
     print("conformance smoke:", report.summary())

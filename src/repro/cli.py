@@ -136,10 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--output", action="append", default=None,
                         metavar="PREDICATE",
                         help="predicate(s) to print (default: all derived)")
-    engine.add_argument("--legacy-enumeration", action="store_true",
-                        help="evaluate with the legacy recursive "
-                        "enumerator instead of compiled join plans "
-                        "(same as CHASE_LEGACY_ENUMERATION=1)")
     engine.add_argument("--no-columnar", action="store_true",
                         help="keep every relation on the dict backend "
                         "and evaluate tuple-at-a-time instead of the "
@@ -325,7 +321,6 @@ def _command_engine(args) -> int:
         print("program is warded")
     result = program.run(
         preflight=not args.no_preflight,
-        use_plans=False if args.legacy_enumeration else None,
         use_columnar=False if args.no_columnar else None,
     )
     if args.rule_profile:
@@ -337,9 +332,6 @@ def _command_engine(args) -> int:
                     print(f"  {plan_name}:", file=sys.stderr)
                     for step in steps:
                         print(f"    {step}", file=sys.stderr)
-        elif result.plan_report is None:
-            print("(no compiled plans — run used the legacy "
-                  "enumerator)", file=sys.stderr)
         else:
             print("(no rules — nothing was planned)", file=sys.stderr)
     inputs = {fact.predicate for fact in program.facts}

@@ -186,12 +186,6 @@ def render_explain(doc: Dict[str, Any]) -> str:
         if rule.get("streamable"):
             tags.append("streamable")
         suffix = f"  [{', '.join(tags)}]" if tags else ""
-        if rule.get("unplannable"):
-            lines.append(
-                f"rule {rule.get('rule', '?')}: UNPLANNABLE — "
-                f"{rule.get('reason', '?')} (legacy enumeration)"
-            )
-            continue
         lines.append(f"rule {rule.get('rule', '?')}{suffix}")
         for plan in rule.get("plans", []):
             head = f"  plan {plan.get('name', '?')}"

@@ -35,25 +35,25 @@ from .. import telemetry
 from ..errors import EvaluationError
 from ..telemetry.inspect import ChaseProgress, PlanAnalysis
 from ..telemetry.metrics import MetricsRegistry
-from .atoms import Atom, Fact, Literal
+from .atoms import Fact
 from .aggregates import AggregateState
-from .columnar import MaskRecord, _RowView, execute_batch
+from .columnar import _RowView, execute_batch
 from .database import FactStore, columnar_default_enabled
 from .egd import EGDViolation, enforce_egds
-from .expressions import TupleExpr, VarRef, evaluate_to_term
+from .expressions import TupleExpr, VarRef
 from .explain import ProvenanceLog
 from .externals import ExternalContext, ExternalRegistry
 from .negation import stratify
-from .plans import PlanFallback, RulePlans, compile_rule_plans
+from .plans import (
+    MaskRecord,
+    RulePlans,
+    compile_rule_plans,
+    deferred_conditions,
+)
 from .routing import RoutingTable, fifo_strategy
 from .rules import EGD, Rule
 from .terms import Constant, LabelledNull, NullFactory, Term, Variable, unwrap
-from .unification import (
-    Substitution,
-    bound_positions,
-    conjunction_has_image,
-    match_atom,
-)
+from .unification import Substitution, conjunction_has_image
 
 
 class ChaseResult:
@@ -238,7 +238,6 @@ class ChaseEngine:
         termination: str = "restricted",
         listener=None,
         preflight: bool = False,
-        use_plans: Optional[bool] = None,
         analyze: bool = False,
         heartbeat_interval: Optional[float] = None,
         stall_threshold: Optional[float] = None,
@@ -278,28 +277,14 @@ class ChaseEngine:
             id(rule): rule.label or f"rule_{index}"
             for index, rule in enumerate(self.rules)
         }
-        # Compiled join plans (the default evaluation path).  The
-        # legacy recursive enumerator stays available — and is the
-        # oracle the planned path is differentially tested against —
-        # via use_plans=False or CHASE_LEGACY_ENUMERATION=1.
-        if use_plans is None:
-            use_plans = os.environ.get(
-                "CHASE_LEGACY_ENUMERATION", ""
-            ).lower() not in ("1", "true", "yes")
-        # ANALYZE instruments the compiled plans, so it implies them.
-        if analyze:
-            use_plans = True
-        self.use_plans = use_plans
         self.analyze = analyze
         # Columnar backend switch: storage promotion on stores this
-        # engine constructs, plus batched plan execution.  Batching
-        # needs the compiled plans; the storage side works under the
-        # legacy enumerator too (probes dispatch per relation).
+        # engine constructs, plus batched plan execution (off: the
+        # compiled plans run tuple-at-a-time over dict relations).
         if use_columnar is None:
             use_columnar = columnar_default_enabled()
         self.use_columnar = use_columnar
         self.columnar_threshold = columnar_threshold
-        self._batch = self.use_plans and self.use_columnar
         # Live-progress knobs: how often heartbeat *events* may fire
         # (gauges refresh every round regardless; 0 = every round) and
         # how long the chase may go without any rule firing before a
@@ -372,8 +357,7 @@ class ChaseEngine:
             if metrics is not None
             else None
         )
-        if self.use_plans:
-            self._compile_plans(metrics)
+        self._compile_plans(metrics)
         run_start = time.perf_counter_ns() if metrics is not None else 0
         nulls_before = null_factory.issued
         if metrics is not None:
@@ -502,16 +486,14 @@ class ChaseEngine:
             telemetry.state.registry.merge(metrics)
             self._metrics = None
         self._events = None
-        explain_report = (
-            self.explain() if self.analyze and self.use_plans else None
-        )
+        explain_report = self.explain() if self.analyze else None
         return ChaseResult(
             store, provenance, null_factory, violations, total_rounds,
             telemetry_snapshot=snapshot,
             # Lazy: describing every plan is pure rendering work, so it
             # runs only if someone actually reads result.plan_report —
             # and it is available on telemetry-free runs too.
-            plan_report=self.plan_report if self.use_plans else None,
+            plan_report=self.plan_report,
             explain_report=explain_report,
         )
 
@@ -533,8 +515,6 @@ class ChaseEngine:
                     time.perf_counter_ns() - start
                 )
                 metrics.counter("chase.plans_compiled").inc()
-                if plans.unplannable:
-                    metrics.counter("chase.plans_unplannable").inc()
 
     def plan_report(self) -> Dict[str, Dict[str, List[str]]]:
         """Step-by-step description of every compiled plan, keyed by
@@ -571,7 +551,7 @@ class ChaseEngine:
             entry = plans.explain()
             entry["rule"] = self._rule_names[id(rule)]
             entry["stratum"] = stratum_of.get(id(rule))
-            if self.analyze and not plans.unplannable:
+            if self.analyze:
                 for (name, plan), plan_doc in zip(
                     plans.named_plans(), entry["plans"]
                 ):
@@ -679,25 +659,6 @@ class ChaseEngine:
             provenance.estimated_bytes()
         )
 
-    def _enumerate_planned(
-        self,
-        rule: Rule,
-        plans: RulePlans,
-        store: FactStore,
-        first_round: bool,
-    ) -> List[_Binding]:
-        """Run the rule's compiled plans and materialize the deduped
-        binding list (same contract as the legacy enumerator)."""
-        if self._batch:
-            return self._enumerate_batched(rule, plans, store, first_round)
-        results: List[_Binding] = []
-        seen: Set[Tuple] = set()
-        for substitution, premises in self._planned_bindings(
-            plans, store, first_round, seen
-        ):
-            results.append(_Binding(substitution, premises))
-        return results
-
     def _applicable_plans(
         self, plans: RulePlans, store: FactStore, first_round: bool
     ):
@@ -718,22 +679,23 @@ class ChaseEngine:
         store: FactStore,
         first_round: bool,
         seen: Set[Tuple],
+        masks: Optional[List[MaskRecord]] = None,
     ):
         """Yield deduplicated ``(substitution, premises)`` pairs from
         the applicable plans."""
         for plan in self._applicable_plans(plans, store, first_round):
-            yield from self._planned_unique(plan, store, seen)
+            yield from self._planned_unique(plan, store, seen, masks)
 
-    def _planned_unique(self, plan, store, seen: Set[Tuple]):
-        """Filter a plan's matches through the same dedup key the
-        legacy finish step uses (sorted non-anonymous variable/value
-        pairs), shared across a rule's delta plans."""
+    def _planned_unique(self, plan, store, seen: Set[Tuple], masks):
+        """Filter a plan's matches through one dedup key (sorted
+        non-anonymous variable/value pairs), shared across a rule's
+        delta plans."""
         if self.analyze:
             matches = plan.execute_analyzed(
-                store, self._analysis_for(plan)
+                store, self._analysis_for(plan), masks
             )
         else:
-            matches = plan.execute(store)
+            matches = plan.execute(store, masks)
         for substitution, premises in matches:
             key = tuple(sorted(
                 (
@@ -771,29 +733,24 @@ class ChaseEngine:
 
     def _enumerate_batched(
         self,
-        rule: Rule,
         plans: RulePlans,
         store: FactStore,
         first_round: bool,
+        order: List[Variable],
+        masks: Optional[List[MaskRecord]],
     ) -> List[_Binding]:
-        """Batched counterpart of :meth:`_enumerate_planned`: run each
-        applicable plan as one vectorized pipeline over the whole
-        frontier, then materialize the deduped binding list.  Raises
-        :class:`PlanFallback` (caught by ``_enumerate_bindings``)
-        exactly when the row path would."""
+        """Batched counterpart of the row path in
+        :meth:`_enumerate_bindings`: run each applicable plan as one
+        vectorized pipeline over the whole frontier, then materialize
+        the deduped binding list."""
         metrics = self._metrics
         track = self.provenance_enabled or self.listener is not None
-        masks: Optional[List[MaskRecord]] = (
-            [] if (metrics is not None or self._events is not None)
-            else None
-        )
         results: List[_Binding] = []
         seen: Set[Tuple] = set()
-        order = self._dedup_order(rule)
         for plan in self._applicable_plans(plans, store, first_round):
             analysis = self._analysis_for(plan) if self.analyze else None
             batch = execute_batch(
-                plan, rule, store, track_premises=track,
+                plan, store, track_premises=track,
                 analysis=analysis, masks=masks,
             )
             if metrics is not None:
@@ -808,19 +765,15 @@ class ChaseEngine:
                 if key in seen:
                     continue
                 seen.add(key)
-                results.append(_Binding(
-                    {var: col[i] for var, col in cols.items()},
-                    batch.premises_row(i),
-                ))
-        if masks:
-            self._report_masks(rule, masks)
+                results.append(_Binding(batch.row(i), batch.premises_row(i)))
         return results
 
     def _report_masks(
         self, rule: Rule, masks: List[MaskRecord]
     ) -> None:
-        """Surface batched error masking: a counter per rule and one
-        schema-versioned ``batch_mask`` event per masked step."""
+        """Surface error masking (either backend): a counter per rule
+        and one schema-versioned ``batch_mask`` event per masked
+        step."""
         name = self._rule_names.get(id(rule), rule.label or "?")
         for record in masks:
             if self._metrics is not None:
@@ -848,12 +801,13 @@ class ChaseEngine:
         listener, no externals (they expand at fire time under routing
         order).  The facts path additionally needs ground heads (no
         existentials — the restricted-chase image check is per-row);
-        the aggregate path needs provenance off (legacy records every
-        intermediate emission), no post-aggregate conditions (legacy
-        checks them against intermediate values, an order-dependent
-        effect) and no aggregate input reading another aggregate's
-        target (legacy evaluates later aggregates with earlier targets
-        already substituted)."""
+        the aggregate path needs provenance off (per-binding firing
+        records every intermediate emission), no post-aggregate
+        conditions (per-binding firing checks them against
+        intermediate values, an order-dependent effect) and no
+        aggregate input reading another aggregate's target (per-binding
+        firing evaluates later aggregates with earlier targets already
+        substituted)."""
         mode = self._batch_fire_modes.get(id(rule))
         if mode is not None or id(rule) in self._batch_fire_modes:
             return mode
@@ -898,15 +852,14 @@ class ChaseEngine:
         plan's batch, then fire straight from the columns.  All batches
         complete before any firing, so recursive rules never observe
         their own additions mid-enumeration (full indices are only
-        consulted by probes, which have all run); :class:`PlanFallback`
+        consulted by probes, which have all run); an expression error
         can therefore only escape before the store is touched."""
         track = mode == "facts" and self.provenance_enabled
         batches = []
         for plan in self._applicable_plans(plans, store, first_round):
             analysis = self._analysis_for(plan) if self.analyze else None
             batch = execute_batch(
-                plan, rule, store, track_premises=track,
-                analysis=analysis, masks=None,
+                plan, store, track_premises=track, analysis=analysis,
             )
             if batch.n:
                 batches.append(batch)
@@ -964,7 +917,7 @@ class ChaseEngine:
     ) -> bool:
         """Deferred per-group aggregate emission: contribute every
         batch row, then emit each touched group's head atoms once with
-        the final values.  Equivalent to legacy per-binding
+        the final values.  Equivalent to per-binding
         retract-and-replace under this path's gates: monotonic values
         make contributions order-independent and idempotent (duplicate
         bindings are no-ops, so no dedup pass is needed), intermediate
@@ -1085,46 +1038,37 @@ class ChaseEngine:
         first_round: bool,
     ) -> bool:
         metrics = self._metrics
-        if self.use_plans and metrics is None:
+        if (
+            metrics is None
+            and self.routing.strategy_for(rule) is fifo_strategy
+        ):
             # Telemetry-free fast paths.  Metrics runs keep the
             # two-phase enumerate/fire shape so match/fire attribution
             # stays meaningful.
-            plans = self._plan_cache.get(id(rule))
-            if (
-                plans is not None
-                and not plans.unplannable
-                and self.routing.strategy_for(rule) is fifo_strategy
-            ):
-                if self._batch:
-                    # Batched enumeration plus bulk firing; recursion
-                    # is safe because every batch materializes before
-                    # any fact is added.
-                    mode = self._batch_fire_mode(rule)
-                    if mode is not None:
-                        try:
-                            return self._apply_rule_batched(
-                                rule, rule_index, plans, store,
-                                provenance, aggregate_states,
-                                emitted_aggregates, first_round, mode,
-                            )
-                        except PlanFallback:
-                            # Re-enter the two-phase path below; its
-                            # enumerator owns the legacy fallback net.
-                            pass
-                elif plans.streamable:
-                    # Routing-free, non-recursive rules stream straight
-                    # from the plan into firing.
-                    return self._apply_rule_streaming(
+            plans = self._plan_cache[id(rule)]
+            if self.use_columnar:
+                # Batched enumeration plus bulk firing; recursion is
+                # safe because every batch materializes before any
+                # fact is added.
+                mode = self._batch_fire_mode(rule)
+                if mode is not None:
+                    return self._apply_rule_batched(
                         rule, rule_index, plans, store, provenance,
-                        null_factory, aggregate_states,
-                        emitted_aggregates, first_round,
+                        aggregate_states, emitted_aggregates,
+                        first_round, mode,
                     )
+            elif plans.streamable:
+                # Routing-free, non-recursive rules stream straight
+                # from the plan into firing.
+                return self._apply_rule_streaming(
+                    rule, rule_index, plans, store, provenance,
+                    null_factory, aggregate_states, emitted_aggregates,
+                    first_round,
+                )
         if metrics is not None:
             name = self._rule_names[id(rule)]
             start = time.perf_counter_ns()
-            bindings = self._enumerate_bindings(
-                rule, store, context, first_round
-            )
+            bindings = self._enumerate_bindings(rule, store, first_round)
             match_ns = time.perf_counter_ns() - start
             metrics.histogram("chase.enumerate_bindings_ns").observe(
                 match_ns
@@ -1137,9 +1081,7 @@ class ChaseEngine:
                     len(bindings)
                 )
         else:
-            bindings = self._enumerate_bindings(
-                rule, store, context, first_round
-            )
+            bindings = self._enumerate_bindings(rule, store, first_round)
         if not bindings:
             return False
         # Routing orders the regular-body bindings BEFORE externals run,
@@ -1201,7 +1143,7 @@ class ChaseEngine:
         if not external_literals:
             yield substitution
             return
-        deferred = self._deferred_conditions(rule)
+        deferred = deferred_conditions(rule)
 
         def _chain(bindings, position):
             if position == len(external_literals):
@@ -1217,20 +1159,6 @@ class ChaseEngine:
                 yield from _chain(extended, position + 1)
 
         yield from _chain(substitution, 0)
-
-    def _deferred_conditions(self, rule: Rule):
-        """Conditions mentioning variables bound only by externals."""
-        regular_vars: Set[Variable] = set()
-        for lit in rule.body:
-            if not lit.atom.is_external:
-                regular_vars.update(lit.variables())
-        regular_vars.update(a.target for a in rule.assignments)
-        regular_vars.update(agg.target for agg in rule.aggregates)
-        deferred = []
-        for condition in rule.conditions:
-            if any(v not in regular_vars for v in condition.variables()):
-                deferred.append(condition)
-        return deferred
 
     def _fire(
         self,
@@ -1432,232 +1360,36 @@ class ChaseEngine:
         self,
         rule: Rule,
         store: FactStore,
-        context: ExternalContext,
         first_round: bool,
     ) -> List[_Binding]:
-        """Enumerate regular-body matches, semi-naive: at least one
-        positive regular literal must match a delta fact (unless the
-        rule has no regular positive literal at all).
+        """Enumerate regular-body matches by executing the rule's
+        compiled plans (:mod:`repro.vadalog.plans`), semi-naive: at
+        least one positive regular literal must match a delta fact
+        (unless the rule has no regular positive literal at all).
 
         External atoms are NOT evaluated here — they run at firing
         time, after routing, so binding-order heuristics govern their
-        side effects.  Negated literals come last so they are checked
-        on (mostly) bound atoms.
-
-        The default path executes the rule's compiled plans
-        (:mod:`repro.vadalog.plans`); the recursive enumerator below
-        remains both the escape hatch (``use_plans=False`` /
-        ``CHASE_LEGACY_ENUMERATION=1``) and the fallback when a
-        pushed-down expression cannot be evaluated plan-side
-        (:class:`PlanFallback`), so planned evaluation is always
-        observationally identical to legacy.
+        side effects.  A pushed-down expression that raises either
+        aborts the chase (its binding completes a body match) or drops
+        the row, reported through :meth:`_report_masks`.
         """
-        if self.use_plans:
-            plans = self._plan_cache.get(id(rule))
-            if plans is not None and not plans.unplannable:
-                try:
-                    return self._enumerate_planned(
-                        rule, plans, store, first_round
-                    )
-                except PlanFallback as fallback:
-                    if self._metrics is not None:
-                        self._metrics.counter(
-                            "chase.plan_fallbacks",
-                            rule=self._rule_names[id(rule)],
-                        ).inc()
-                    if self._events is not None:
-                        cause = fallback.__cause__
-                        self._events.emit(
-                            "plan_fallback",
-                            rule=self._rule_names[id(rule)],
-                            error=type(
-                                cause if cause is not None else fallback
-                            ).__name__,
-                            reason=str(fallback),
-                            stratum=self._stratum_index,
-                            round=self._round,
-                        )
-        positives = [
-            lit
-            for lit in rule.body
-            if not lit.negated and not lit.atom.is_external
-        ]
-        negatives = [lit for lit in rule.body if lit.negated]
-        results: List[_Binding] = []
-        seen: Set[Tuple] = set()
-
-        if not positives:
-            # Rules driven purely by externals: evaluate once per round.
-            self._extend_binding(
-                rule, [], negatives, store, context, {}, [], results,
-                seen, None
+        plans = self._plan_cache[id(rule)]
+        masks: Optional[List[MaskRecord]] = (
+            [] if (self._metrics is not None or self._events is not None)
+            else None
+        )
+        if self.use_columnar:
+            results = self._enumerate_batched(
+                plans, store, first_round, self._dedup_order(rule), masks
             )
-            return results
-
-        if first_round:
-            # All facts count as delta on the stratum's first round.
-            self._extend_binding(
-                rule, positives, negatives, store, context, {}, [],
-                results, seen, None
-            )
-            return results
-
-        for delta_literal in positives:
-            if not store.delta(delta_literal.atom.predicate):
-                continue
-            self._extend_binding(
-                rule,
-                positives,
-                negatives,
-                store,
-                context,
-                {},
-                [],
-                results,
-                seen,
-                delta_literal,
-            )
+        else:
+            seen: Set[Tuple] = set()
+            results = [
+                _Binding(substitution, premises)
+                for substitution, premises in self._planned_bindings(
+                    plans, store, first_round, seen, masks
+                )
+            ]
+        if masks:
+            self._report_masks(rule, masks)
         return results
-
-    def _pick_next_literal(
-        self,
-        remaining: List[Literal],
-        store: FactStore,
-        substitution: Substitution,
-        delta_literal: Optional[Literal],
-    ) -> Literal:
-        """Greedy join ordering: prefer the delta literal first (it is
-        usually the smallest relation), then the literal with the most
-        bound positions, tie-broken by relation size."""
-        # Identity, not equality: a body may contain duplicate literals
-        # (e.g. ``p(X, Z), p(X, Z)``), and an equality match here would
-        # hand back the already-consumed delta literal, which the
-        # caller cannot remove from ``remaining`` — an unbounded
-        # recursion (the seed suite's RecursionError).
-        if delta_literal is not None and any(
-            lit is delta_literal for lit in remaining
-        ):
-            return delta_literal
-        best = None
-        best_key = None
-        for literal in remaining:
-            atom = literal.atom
-            bound = len(bound_positions(atom, substitution))
-            key = (-bound, store.count(atom.predicate))
-            if best_key is None or key < best_key:
-                best = literal
-                best_key = key
-        assert best is not None
-        return best
-
-    def _extend_binding(
-        self,
-        rule: Rule,
-        positives: List[Literal],
-        negatives: List[Literal],
-        store: FactStore,
-        context: ExternalContext,
-        substitution: Substitution,
-        premises: List[Fact],
-        results: List[_Binding],
-        seen: Set[Tuple],
-        delta_literal: Optional[Literal],
-    ) -> None:
-        if not positives:
-            # All positive atoms joined: check negation-as-failure on
-            # the (now mostly bound) negated atoms, then finish.
-            for literal in negatives:
-                atom = literal.atom
-                grounded = atom.substitute(substitution)
-                if grounded.is_ground:
-                    if store.contains(grounded):
-                        return
-                else:
-                    bound = bound_positions(atom, substitution)
-                    if any(
-                        True for _ in store.lookup(atom.predicate, bound)
-                    ):
-                        return
-            self._finish_binding(
-                rule, store, substitution, premises, results, seen
-            )
-            return
-
-        literal = self._pick_next_literal(
-            positives, store, substitution, delta_literal
-        )
-        rest = [lit for lit in positives if lit is not literal]
-        atom = literal.atom
-        delta_only = literal is delta_literal
-        bound = bound_positions(atom, substitution)
-        for fact in store.lookup(atom.predicate, bound, delta_only=delta_only):
-            extended = match_atom(atom, fact, substitution)
-            if extended is None:
-                continue
-            premises.append(fact)
-            self._extend_binding(
-                rule,
-                rest,
-                negatives,
-                store,
-                context,
-                extended,
-                premises,
-                results,
-                seen,
-                delta_literal,
-            )
-            premises.pop()
-
-    def _finish_binding(
-        self,
-        rule: Rule,
-        store: FactStore,
-        substitution: Substitution,
-        premises: List[Fact],
-        results: List[_Binding],
-        seen: Set[Tuple],
-    ) -> None:
-        substitution = dict(substitution)
-        for assignment in rule.assignments:
-            if any(
-                v not in substitution
-                for v in assignment.input_variables()
-            ):
-                raise EvaluationError(
-                    f"assignment to {assignment.target.name} in rule "
-                    f"{rule.label or rule} depends on external-only "
-                    "variables; bind them with regular atoms instead"
-                )
-            if assignment.target in substitution:
-                # Equality check when the "assigned" variable is bound.
-                value = evaluate_to_term(assignment.expression, substitution)
-                if substitution[assignment.target] != value:
-                    return
-            else:
-                substitution[assignment.target] = evaluate_to_term(
-                    assignment.expression, substitution
-                )
-        aggregate_targets = {agg.target for agg in rule.aggregates}
-        deferred = set()
-        for condition in self._deferred_conditions(rule):
-            deferred.add(id(condition))
-        for condition in rule.conditions:
-            condition_vars = set(condition.variables())
-            if condition_vars & aggregate_targets:
-                continue  # checked after aggregation
-            if id(condition) in deferred:
-                continue  # checked after external evaluation
-            if not condition.holds(substitution):
-                return
-        key_vars = sorted(
-            (v for v in substitution if not v.is_anonymous),
-            key=lambda v: v.name,
-        )
-        key = tuple((v.name, substitution[v]) for v in key_vars)
-        if key in seen:
-            return
-        seen.add(key)
-        results.append(_Binding(substitution, list(premises)))
-
-

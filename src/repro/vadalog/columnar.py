@@ -19,8 +19,8 @@ Two pieces live here:
   ``positions -> code key -> [rowid]``.  Facts themselves are kept in
   a rowid-indexed list so probe results stay ordinary
   :class:`~repro.vadalog.atoms.Fact` tuples and every row-at-a-time
-  consumer (legacy enumerator, negation, EGDs, externals,
-  ``conjunction_has_image``) works unchanged.
+  consumer (negation, EGDs, externals, ``conjunction_has_image``)
+  works unchanged.
 * :func:`execute_batch` — a batched executor for the PR 5 compiled
   join plans.  Instead of a generator stack yielding one substitution
   dict per match, the whole delta frontier flows through the plan as
@@ -31,24 +31,23 @@ Two pieces live here:
   :meth:`JoinPlan.execute <repro.vadalog.plans.JoinPlan.execute>` up
   to row order.
 
-**Error masking (fidelity contract).**  The legacy enumerator joins
-*all* positive literals first and only then evaluates assignments and
-conditions (in rule order, stopping at the first failure).  A pushed
-down expression in a plan may therefore raise on a row the legacy
-path would never finish.  When a batched eval step raises for a row,
-the executor decides between two outcomes:
+**Error masking (fidelity contract).**  The naive oracle
+(:mod:`repro.vadalog.reference`) joins *all* positive literals first
+and only then evaluates assignments and conditions (in rule order,
+stopping at the first failure).  A pushed-down expression in a plan
+may therefore raise on a row that never completes a body match.  When
+a batched eval step raises for a row, the executor asks the same
+:func:`~repro.vadalog.plans.completes_match` check as the row path:
 
-* if the row's scan-bound bindings **cannot** be extended to a
-  complete positive join that passes every negation check, the legacy
-  path would never reach its finish step for this row — the error is
-  *masked*: only that row is dropped, the rest of the batch proceeds,
-  and the engine emits a schema-versioned ``batch_mask`` event;
-* if a completing extension **does** exist, the legacy path would
-  raise the same error (all plan-side-earlier assignments/conditions
-  succeeded for this row and run before it at finish time), so the
-  executor raises :class:`~repro.vadalog.plans.PlanFallback` and the
-  engine re-runs the rule on the legacy path, reproducing the legacy
-  outcome bit for bit.
+* if the row's bindings **cannot** be extended to a complete positive
+  join that passes every negation check, the oracle never evaluates
+  the expression for it — the error is *masked*: only that row is
+  dropped, the rest of the batch proceeds, and the engine emits a
+  schema-versioned ``batch_mask`` event;
+* if a completing extension **does** exist, the oracle raises the
+  same error (every rule-order-earlier assignment and condition
+  succeeded for this row), so the original error propagates and
+  aborts the chase.
 """
 
 from __future__ import annotations
@@ -73,13 +72,13 @@ from .plans import (
     AssignStep,
     FilterStep,
     JoinPlan,
+    MaskRecord,
     NegationStep,
-    PlanFallback,
     ScanStep,
+    completes_match,
+    record_mask,
 )
-from .rules import Rule
 from .terms import Term, Variable
-from .unification import bound_positions, match_atom
 
 
 class TermDictionary:
@@ -547,19 +546,16 @@ class Batch:
     ``cols`` maps every bound variable to a list of terms (length
     ``n``); ``premises`` — tracked only when provenance or an audit
     listener needs them — holds one fact column per completed scan
-    step, in plan order.  ``scan_vars`` is the set of variables bound
-    by scans so far: the substitution the legacy enumerator would
-    carry at the same point, which drives the error-masking decision.
+    step, in plan order.
     """
 
-    __slots__ = ("n", "cols", "premises", "scan_vars")
+    __slots__ = ("n", "cols", "premises")
 
     def __init__(self, n: int, cols: Dict[Variable, list],
                  premises: Optional[List[list]]):
         self.n = n
         self.cols = cols
         self.premises = premises
-        self.scan_vars: Set[Variable] = set()
 
     @classmethod
     def unit(cls, track_premises: bool) -> "Batch":
@@ -580,73 +576,11 @@ class Batch:
             premises = [
                 [col[i] for i in keep] for col in self.premises
             ]
-        shrunk = Batch(len(keep), cols, premises)
-        shrunk.scan_vars = self.scan_vars
-        return shrunk
+        return Batch(len(keep), cols, premises)
 
-
-class MaskRecord:
-    """One masked batch step: how many rows an eval step dropped
-    because the raising expression could never reach the legacy
-    finish step."""
-
-    __slots__ = ("op", "detail", "error", "rows")
-
-    def __init__(self, op: str, detail: str, error: str, rows: int):
-        self.op = op
-        self.detail = detail
-        self.error = error
-        self.rows = rows
-
-
-def _legacy_reaches_finish(
-    rule: Rule, store, scan_bound: Dict[Variable, Term]
-) -> bool:
-    """Would the legacy enumerator reach its finish step for a binding
-    extending ``scan_bound``?  True iff the positive body joins to
-    completion and every negation check passes — the decision between
-    masking a row and falling back to the legacy path."""
-    positives = [
-        lit for lit in rule.body
-        if not lit.negated and not lit.atom.is_external
-    ]
-    negatives = [lit for lit in rule.body if lit.negated]
-
-    def negation_ok(substitution: Dict[Variable, Term]) -> bool:
-        for literal in negatives:
-            atom = literal.atom
-            grounded = atom.substitute(substitution)
-            if grounded.is_ground:
-                if store.contains(grounded):
-                    return False
-            else:
-                bound = bound_positions(atom, substitution)
-                if any(
-                    True for _ in store.lookup(atom.predicate, bound)
-                ):
-                    return False
-        return True
-
-    def extend(remaining, substitution) -> bool:
-        if not remaining:
-            return negation_ok(substitution)
-        literal = remaining[0]
-        atom = literal.atom
-        bound = bound_positions(atom, substitution)
-        for fact in store.lookup(atom.predicate, bound):
-            extended = match_atom(atom, fact, substitution)
-            if extended is None:
-                continue
-            if extend(remaining[1:], extended):
-                return True
-        return False
-
-    return extend(positives, dict(scan_bound))
-
-
-def _scan_bound_row(batch: Batch, i: int) -> Dict[Variable, Term]:
-    cols = batch.cols
-    return {var: cols[var][i] for var in batch.scan_vars}
+    def row(self, i: int) -> Dict[Variable, Term]:
+        """Row ``i`` as a substitution over every bound variable."""
+        return {var: col[i] for var, col in self.cols.items()}
 
 
 def _expand_scan(
@@ -731,15 +665,11 @@ def _expand_scan(
             [col[i] for i in source_rows] for col in batch.premises
         ]
         premises.append(matched)
-    expanded = Batch(len(matched), cols, premises)
-    expanded.scan_vars = batch.scan_vars | {
-        variable for _, variable in step.outputs
-    } | {variable for _, variable in step.key_vars}
-    return expanded
+    return Batch(len(matched), cols, premises)
 
 
 def _apply_assign(
-    step: AssignStep, rule: Rule, store, batch: Batch,
+    step: AssignStep, store, batch: Batch,
     masks: Optional[List[MaskRecord]],
 ) -> Batch:
     assignment = step.assignment
@@ -749,76 +679,47 @@ def _apply_assign(
     view = _RowView(batch.cols)
     keep: List[int] = []
     values: List[Term] = []
-    masked = 0
-    first_error = ""
     for i in range(batch.n):
         view.i = i
         try:
             value = evaluate_to_term(expression, view)
-        except Exception as exc:  # noqa: BLE001 — masking decision
-            if _legacy_reaches_finish(
-                rule, store, _scan_bound_row(batch, i)
-            ):
-                raise PlanFallback(
-                    f"assignment to {target.name} raised "
-                    f"{type(exc).__name__}"
-                ) from exc
-            masked += 1
-            if not first_error:
-                first_error = type(exc).__name__
+        except Exception as exc:  # noqa: BLE001 — raise or mask
+            if completes_match(step.rule, store, batch.row(i)):
+                raise
+            record_mask(masks, "assign", step.describe(), exc)
             continue
         if bound_col is not None:
             # Bound target degrades to an equality filter, exactly
-            # like AssignStep / the legacy finish step.
+            # like AssignStep.
             if bound_col[i] == value:
                 keep.append(i)
         else:
             keep.append(i)
             values.append(value)
-    if masked and masks is not None:
-        masks.append(MaskRecord(
-            "assign", step.describe(), first_error, masked
-        ))
-    if masked or len(keep) != batch.n:
-        shrunk = batch.take(keep)
-    else:
-        shrunk = batch
-        keep = None  # values already aligned
+    shrunk = batch.take(keep) if len(keep) != batch.n else batch
     if bound_col is None:
         shrunk.cols[target] = values
     return shrunk
 
 
 def _apply_filter(
-    step: FilterStep, rule: Rule, store, batch: Batch,
+    step: FilterStep, store, batch: Batch,
     masks: Optional[List[MaskRecord]],
 ) -> Batch:
     condition = step.condition
     view = _RowView(batch.cols)
     keep: List[int] = []
-    masked = 0
-    first_error = ""
     for i in range(batch.n):
         view.i = i
         try:
             ok = condition.holds(view)
-        except Exception as exc:  # noqa: BLE001 — masking decision
-            if _legacy_reaches_finish(
-                rule, store, _scan_bound_row(batch, i)
-            ):
-                raise PlanFallback(
-                    f"condition raised {type(exc).__name__}"
-                ) from exc
-            masked += 1
-            if not first_error:
-                first_error = type(exc).__name__
+        except Exception as exc:  # noqa: BLE001 — raise or mask
+            if completes_match(step.rule, store, batch.row(i)):
+                raise
+            record_mask(masks, "filter", step.describe(), exc)
             continue
         if ok:
             keep.append(i)
-    if masked and masks is not None:
-        masks.append(MaskRecord(
-            "filter", step.describe(), first_error, masked
-        ))
     if len(keep) == batch.n:
         return batch
     return batch.take(keep)
@@ -865,7 +766,6 @@ def _apply_negation(
 
 def execute_batch(
     plan: JoinPlan,
-    rule: Rule,
     store,
     track_premises: bool = False,
     analysis=None,
@@ -875,9 +775,9 @@ def execute_batch(
 
     Returns the final batch — one row per complete body match, columns
     for every bound variable (scan outputs plus assignment targets).
-    Matches :meth:`JoinPlan.execute` row for row (modulo order); raises
-    :class:`PlanFallback` exactly when the tuple-at-a-time path would
-    (see the module docstring for the masking decision).  When
+    Matches :meth:`JoinPlan.execute` row for row (modulo order),
+    raising and masking exactly where the tuple-at-a-time path does
+    (see the module docstring).  When
     ``analysis`` is given (EXPLAIN ANALYZE), per-step actuals are
     recorded batch-wise: ``invocations`` counts rows entering the
     step, ``rows_out`` rows leaving it.
@@ -896,16 +796,11 @@ def execute_batch(
         if type(step) is ScanStep:
             batch = _expand_scan(step, store, batch, stats)
         elif type(step) is AssignStep:
-            batch = _apply_assign(step, rule, store, batch, masks)
+            batch = _apply_assign(step, store, batch, masks)
         elif type(step) is FilterStep:
-            batch = _apply_filter(step, rule, store, batch, masks)
-        elif type(step) is NegationStep:
+            batch = _apply_filter(step, store, batch, masks)
+        else:
             batch = _apply_negation(step, store, batch, stats)
-        else:  # pragma: no cover — future step kinds
-            raise PlanFallback(
-                f"batched execution does not support "
-                f"{type(step).__name__}"
-            )
         if analysis is not None:
             stats.wall_ns += perf_counter_ns() - started
             stats.rows_out += batch.n

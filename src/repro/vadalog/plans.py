@@ -1,13 +1,12 @@
 """Compiled join plans: the chase engine's query-plan layer.
 
-The legacy enumerator (:meth:`ChaseEngine._extend_binding`) re-derives
-its join order *per partial binding* — every extension step scans the
-remaining literals, counts bound positions against the current
-substitution and sizes relations, then recurses.  That work is
-identical across the thousands of bindings a round enumerates, so this
-module hoists it to rule-compilation time, the way the Vadalog system
-compiles rules into reusable execution pipelines instead of
-interpreting them tuple by tuple.
+A naive matcher re-derives its join order *per partial binding*: every
+extension step scans the remaining literals, counts bound positions
+against the current substitution and sizes relations, then recurses.
+That work is identical across the thousands of bindings a round
+enumerates, so this module hoists it to rule-compilation time, the way
+the Vadalog system compiles rules into reusable execution pipelines
+instead of interpreting them tuple by tuple.
 
 For every rule the compiler produces one :class:`JoinPlan` per
 semi-naive delta literal plus a first-round plan.  A plan is a flat
@@ -26,21 +25,24 @@ shared mutable substitution):
   product filtered afterwards into a single hash probe.
 * :class:`NegationStep` — a stratified negation check, scheduled once
   every positively-bindable variable of the negated atom is bound.
-  Its layout deliberately ignores assignment-bound variables so the
-  check matches the legacy enumerator's semantics exactly (the legacy
-  path checks negation before assignments run).
+  Its layout deliberately ignores assignment-bound variables: the
+  semantics check negation on the positive join, before assignments.
 
 Literal order is fixed up front by a greedy bound-position /
 shared-variable / arity heuristic; the delta literal always leads.
 
 **Fidelity contract.** Planned evaluation must be indistinguishable
-from the legacy enumerator (it is differentially tested against it in
-CI).  Pushed-down expressions are the one place the paths could
-diverge: a pushed expression may raise on a partial binding that the
-legacy path would never fully join.  Steps therefore raise
-:class:`PlanFallback` instead of letting the error escape, and the
-engine re-enumerates that rule with the legacy path — reproducing the
-legacy outcome bit for bit, error or not.
+from the naive oracle :mod:`repro.vadalog.reference`, which joins
+*every* positive literal, checks negation, then evaluates assignments
+and conditions in rule order.  Pushed-down expressions are the one
+place the two could diverge: a pushed expression may raise on a
+partial binding that never completes a body match.  Both executors
+(the row steps here and the batch steps in :mod:`.columnar`) settle
+such an error with :func:`completes_match`: when the binding extends to
+a complete match the original error propagates and aborts the chase,
+exactly as the oracle raises; otherwise the row is dropped and counted
+in a :class:`MaskRecord` (the engine reports it as a ``batch_mask``
+event and the ``chase.batch_masked_rows`` counter).
 """
 
 from __future__ import annotations
@@ -49,21 +51,99 @@ from time import perf_counter_ns
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, \
     Tuple
 
+from ..errors import EvaluationError
 from ..telemetry.inspect import PlanAnalysis, StepStats
 from .atoms import Assignment, Atom, Condition, Fact, Literal
 from .database import FactStore
 from .expressions import evaluate_to_term
 from .rules import Rule
 from .terms import Term, Variable
-from .unification import Substitution, probe_layout
+from .unification import (
+    Substitution,
+    bound_positions,
+    match_atom,
+    probe_layout,
+)
 
 
-class PlanFallback(Exception):
-    """A compiled step cannot decide the current partial binding (a
-    pushed-down expression raised).  The engine catches this and
-    re-enumerates the rule with the legacy recursive path, which
-    reproduces the legacy semantics exactly — including whether the
-    original error surfaces at all."""
+class MaskRecord:
+    """Rows one eval step dropped because its expression raised on a
+    binding that completes no body match."""
+
+    __slots__ = ("op", "detail", "error", "rows")
+
+    def __init__(self, op: str, detail: str, error: str, rows: int):
+        self.op = op
+        self.detail = detail
+        self.error = error
+        self.rows = rows
+
+
+def completes_match(
+    rule: Rule, store: FactStore, binding: Dict[Variable, Term]
+) -> bool:
+    """Does ``binding`` extend to a complete body match of ``rule`` —
+    every positive literal joined over the full store, every negation
+    passing?  ``binding`` is everything a plan bound before an
+    expression raised (scan outputs and assignment targets), so an
+    extension evaluates the rule-order-earlier assignments and
+    conditions to the same values and reaches the raising expression
+    too.  The one check that decides raise versus mask."""
+    positives = [
+        lit for lit in rule.body
+        if not lit.negated and not lit.atom.is_external
+    ]
+    negatives = [lit for lit in rule.body if lit.negated]
+    positive_vars = {
+        v for lit in positives for v in lit.variables()
+        if not v.is_anonymous
+    }
+
+    def negation_ok(substitution: Substitution) -> bool:
+        # Negation sees the positive join only, never assignment
+        # targets (the oracle checks it before assignments run).
+        substitution = {
+            v: t for v, t in substitution.items() if v in positive_vars
+        }
+        for literal in negatives:
+            atom = literal.atom
+            grounded = atom.substitute(substitution)
+            if grounded.is_ground:
+                if store.contains(grounded):
+                    return False
+            else:
+                bound = bound_positions(atom, substitution)
+                if any(True for _ in store.lookup(atom.predicate, bound)):
+                    return False
+        return True
+
+    def extend(index: int, substitution: Substitution) -> bool:
+        if index == len(positives):
+            return negation_ok(substitution)
+        atom = positives[index].atom
+        bound = bound_positions(atom, substitution)
+        for fact in store.lookup(atom.predicate, bound):
+            extended = match_atom(atom, fact, substitution)
+            if extended is not None and extend(index + 1, extended):
+                return True
+        return False
+
+    return extend(0, dict(binding))
+
+
+def record_mask(
+    masks: Optional[List[MaskRecord]], op: str, detail: str,
+    error: BaseException,
+) -> None:
+    """Count one masked row against its step (``masks`` is None when
+    nobody is listening)."""
+    if masks is None:
+        return
+    for record in masks:
+        if record.op == op and record.detail == detail:
+            record.rows += 1
+            return
+    masks.append(MaskRecord(op, detail, type(error).__name__, 1))
 
 
 _SENTINEL = object()
@@ -73,8 +153,8 @@ def _timed(iterator: Iterator[bool], stats: StepStats) -> Iterator[bool]:
     """Wrap a step iterator with per-step actuals: one invocation per
     upstream row, one row_out per yield, wall time charged to the time
     spent *inside* this iterator (downstream steps excluded).  Uses the
-    two-argument ``next`` so a :class:`PlanFallback` raised by the step
-    propagates unchanged."""
+    two-argument ``next`` so an error raised by the step propagates
+    unchanged."""
     stats.invocations += 1
     while True:
         start = perf_counter_ns()
@@ -94,7 +174,8 @@ class _Step:
 
     def iterate(self, store: FactStore, subst: Substitution,
                 premises: List[Fact],
-                stats: Optional[StepStats] = None) -> Iterator[bool]:
+                stats: Optional[StepStats] = None,
+                masks: Optional[List[MaskRecord]] = None) -> Iterator[bool]:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -136,7 +217,7 @@ class ScanStep(_Step):
         self.outputs = outputs
         self.repeats = repeats
 
-    def iterate(self, store, subst, premises, stats=None):
+    def iterate(self, store, subst, premises, stats=None, masks=None):
         if self.key_vars:
             key = list(self.key_consts)
             for slot, variable in self.key_vars:
@@ -191,23 +272,23 @@ class ScanStep(_Step):
 
 class AssignStep(_Step):
     """Evaluate an assignment as soon as its inputs are bound.  A
-    bound target degrades to an equality filter, exactly like the
-    legacy finish step."""
+    bound target degrades to an equality filter."""
 
-    __slots__ = ("assignment",)
+    __slots__ = ("assignment", "rule")
 
-    def __init__(self, assignment: Assignment):
+    def __init__(self, assignment: Assignment, rule: Rule):
         self.assignment = assignment
+        self.rule = rule
 
-    def iterate(self, store, subst, premises, stats=None):
+    def iterate(self, store, subst, premises, stats=None, masks=None):
         assignment = self.assignment
         try:
             value = evaluate_to_term(assignment.expression, subst)
-        except Exception as exc:  # noqa: BLE001 — see PlanFallback
-            raise PlanFallback(
-                f"assignment to {assignment.target.name} raised "
-                f"{type(exc).__name__}"
-            ) from exc
+        except Exception as exc:  # noqa: BLE001 — raise or mask
+            if completes_match(self.rule, store, subst):
+                raise
+            record_mask(masks, "assign", self.describe(), exc)
+            return
         target = assignment.target
         bound = subst.get(target)
         if bound is not None:
@@ -233,18 +314,20 @@ class AssignStep(_Step):
 class FilterStep(_Step):
     """Check a boolean condition as soon as its variables are bound."""
 
-    __slots__ = ("condition",)
+    __slots__ = ("condition", "rule")
 
-    def __init__(self, condition: Condition):
+    def __init__(self, condition: Condition, rule: Rule):
         self.condition = condition
+        self.rule = rule
 
-    def iterate(self, store, subst, premises, stats=None):
+    def iterate(self, store, subst, premises, stats=None, masks=None):
         try:
             ok = self.condition.holds(subst)
-        except Exception as exc:  # noqa: BLE001 — see PlanFallback
-            raise PlanFallback(
-                f"condition raised {type(exc).__name__}"
-            ) from exc
+        except Exception as exc:  # noqa: BLE001 — raise or mask
+            if completes_match(self.rule, store, subst):
+                raise
+            record_mask(masks, "filter", self.describe(), exc)
+            return
         if ok:
             yield True
 
@@ -259,10 +342,10 @@ class NegationStep(_Step):
     """Negation-as-failure over the saturated lower strata.
 
     The probe layout treats only *positively* bindable variables as
-    bound — matching the legacy enumerator, which checks negation
-    before assignments run — so scheduling the check earlier than the
-    legacy path cannot change its outcome (the store is stable during
-    enumeration and the check depends only on its own key values).
+    bound — the semantics check negation on the positive join, before
+    assignments run — so scheduling the check early cannot change its
+    outcome (the store is stable during enumeration and the check
+    depends only on its own key values).
     """
 
     __slots__ = ("atom", "predicate", "key_positions", "key_consts",
@@ -289,7 +372,7 @@ class NegationStep(_Step):
             if isinstance(source, Variable)
         )
 
-    def iterate(self, store, subst, premises, stats=None):
+    def iterate(self, store, subst, premises, stats=None, masks=None):
         if self.key_vars:
             key = list(self.key_consts)
             for slot, variable in self.key_vars:
@@ -336,11 +419,14 @@ class JoinPlan:
         )
 
     def execute(
-        self, store: FactStore
+        self, store: FactStore,
+        masks: Optional[List[MaskRecord]] = None,
     ) -> Iterator[Tuple[Substitution, List[Fact]]]:
         """Yield ``(substitution, premises)`` per complete match.  The
         yielded objects are fresh copies; internal state is a single
-        mutable substitution un/re-wound by the step iterators."""
+        mutable substitution un/re-wound by the step iterators.  Rows
+        whose pushed-down expression raised without completing a match
+        are counted into ``masks``."""
         steps = self.steps
         n = len(steps)
         subst: Substitution = {}
@@ -349,7 +435,7 @@ class JoinPlan:
             yield {}, []
             return
         stack: List[Iterator[bool]] = [
-            steps[0].iterate(store, subst, premises)
+            steps[0].iterate(store, subst, premises, None, masks)
         ]
         while stack:
             if next(stack[-1], None) is None:
@@ -359,16 +445,19 @@ class JoinPlan:
             if depth == n:
                 yield dict(subst), list(premises)
             else:
-                stack.append(steps[depth].iterate(store, subst, premises))
+                stack.append(
+                    steps[depth].iterate(store, subst, premises, None, masks)
+                )
 
     def execute_analyzed(
-        self, store: FactStore, analysis: PlanAnalysis
+        self, store: FactStore, analysis: PlanAnalysis,
+        masks: Optional[List[MaskRecord]] = None,
     ) -> Iterator[Tuple[Substitution, List[Fact]]]:
         """:meth:`execute` with per-step actuals folded into
         ``analysis`` — the opt-in ANALYZE path.  Step iterators are
         wrapped in a timing shim, and scan/negation steps count their
         own index probes; the matcher itself is unchanged, so planned
-        semantics (including :class:`PlanFallback`) are identical."""
+        semantics (including error masking) are identical."""
         steps = self.steps
         n = len(steps)
         analysis.executions += 1
@@ -383,7 +472,7 @@ class JoinPlan:
         def open_step(depth: int) -> Iterator[bool]:
             stats = step_stats[depth]
             return _timed(
-                steps[depth].iterate(store, subst, premises, stats),
+                steps[depth].iterate(store, subst, premises, stats, masks),
                 stats,
             )
 
@@ -412,11 +501,11 @@ class RulePlans:
 
     __slots__ = (
         "rule", "first_round", "delta_plans", "has_positives",
-        "streamable", "unplannable", "reason",
+        "streamable",
     )
 
     def __init__(self, rule, first_round, delta_plans, has_positives,
-                 streamable, unplannable=False, reason=""):
+                 streamable):
         self.rule = rule
         self.first_round = first_round
         #: ``(literal_index, predicate, plan)`` triples.
@@ -425,14 +514,10 @@ class RulePlans:
         #: True when bindings may fire as they are found: the rule's
         #: firings cannot feed its own enumeration (no externals, head
         #: disjoint from the positive body) and no pushed-down
-        #: expression can trigger a mid-stream legacy fallback.
+        #: expression can raise after firing has touched the store.
         self.streamable = streamable
-        self.unplannable = unplannable
-        self.reason = reason
 
     def describe(self) -> Dict[str, List[str]]:
-        if self.unplannable:
-            return {"unplannable": [self.reason]}
         dump = {"first-round": self.first_round.describe()}
         for index, predicate, plan in self.delta_plans:
             dump[f"delta[{index}:{predicate}]"] = plan.describe()
@@ -441,8 +526,6 @@ class RulePlans:
     def named_plans(self) -> List[Tuple[str, "JoinPlan"]]:
         """``(name, plan)`` pairs in execution order (first-round plan
         first) — the iteration order every explain consumer shares."""
-        if self.unplannable:
-            return []
         named = [("first-round", self.first_round)]
         for index, predicate, plan in self.delta_plans:
             named.append((f"delta[{index}:{predicate}]", plan))
@@ -450,25 +533,18 @@ class RulePlans:
 
     def explain(self) -> Dict[str, Any]:
         """Structured, JSON-serialisable description of every plan."""
-        doc: Dict[str, Any] = {
-            "unplannable": self.unplannable,
+        return {
             "streamable": self.streamable,
+            "plans": [
+                {"name": name, "steps": plan.explain()}
+                for name, plan in self.named_plans()
+            ],
         }
-        if self.unplannable:
-            doc["reason"] = self.reason
-            doc["plans"] = []
-            return doc
-        doc["plans"] = [
-            {"name": name, "steps": plan.explain()}
-            for name, plan in self.named_plans()
-        ]
-        return doc
 
 
 def deferred_conditions(rule: Rule) -> List[Condition]:
     """Conditions mentioning variables bound only by externals — they
-    run after external expansion, never inside a plan.  Mirrors the
-    engine's legacy ``_deferred_conditions``."""
+    run after external expansion, never inside a plan."""
     regular_vars: Set[Variable] = set()
     for lit in rule.body:
         if not lit.atom.is_external:
@@ -519,16 +595,18 @@ def _build_plan(
         """Schedule whatever just became evaluable.
 
         Ordering here is a fidelity constraint, not a style choice.
-        The legacy finish step evaluates assignments in rule order,
-        then conditions in rule order, stopping at the first failure —
-        so a later expression's error is *suppressed* by an earlier
-        failure.  To keep the planned path's error behaviour
-        bit-identical we only ever pop assignments and conditions from
-        the front of their queues (rule order), and a condition may
-        not run before the assignment queue has drained.  Negation
-        checks are pure store probes over positively-bound variables:
-        they cannot raise and their outcome is fixed by their key
-        values, so they schedule freely.
+        The oracle evaluates a complete match's assignments in rule
+        order, then its conditions in rule order, stopping at the
+        first failure — so a later expression's error is *suppressed*
+        by an earlier failure.  To keep the planned path's error
+        behaviour identical we only ever pop assignments and
+        conditions from the front of their queues (rule order), and a
+        condition may not run before the assignment queue has drained;
+        an error on a partial binding is then settled by
+        :func:`completes_match`.  Negation checks are pure store
+        probes over positively-bound variables: they cannot raise and
+        their outcome is fixed by their key values, so they schedule
+        freely.
         """
         changed = True
         while changed:
@@ -549,7 +627,7 @@ def _build_plan(
                 for v in pending_assignments[0].input_variables()
             ):
                 assignment = pending_assignments.pop(0)
-                steps.append(AssignStep(assignment))
+                steps.append(AssignStep(assignment, rule))
                 known.add(assignment.target)
                 changed = True
             while (
@@ -560,7 +638,7 @@ def _build_plan(
                     for v in pending_conditions[0].variables()
                 )
             ):
-                steps.append(FilterStep(pending_conditions.pop(0)))
+                steps.append(FilterStep(pending_conditions.pop(0), rule))
                 changed = True
 
     remaining = list(enumerate(positives))
@@ -599,7 +677,12 @@ def _build_plan(
 
 
 def compile_rule_plans(rule: Rule) -> RulePlans:
-    """Compile one rule into its first-round and per-delta plans."""
+    """Compile one rule into its first-round and per-delta plans.
+
+    Raises :class:`~repro.errors.EvaluationError` for a rule whose
+    assignment reads a variable that only an external atom binds:
+    externals run after the plan, so the assignment could never be
+    evaluated."""
     positives = [
         lit for lit in rule.body
         if not lit.negated and not lit.atom.is_external
@@ -618,17 +701,13 @@ def compile_rule_plans(rule: Rule) -> RulePlans:
             v for v in literal.variables() if not v.is_anonymous
         )
 
-    # Assignments that read external-only variables make the legacy
-    # path raise at finish time for every completed binding; keep that
-    # behaviour by routing the whole rule through the legacy path.
     available = set(positive_vars)
     for assignment in rule.assignments:
         if any(v not in available for v in assignment.input_variables()):
-            return RulePlans(
-                rule, None, [], bool(positives), streamable=False,
-                unplannable=True,
-                reason=f"assignment to {assignment.target.name} reads "
-                       "variables not bound by regular atoms",
+            raise EvaluationError(
+                f"assignment to {assignment.target.name} in rule "
+                f"{rule.label or rule} depends on external-only "
+                "variables; bind them with regular atoms instead"
             )
         available.add(assignment.target)
 
@@ -648,7 +727,9 @@ def compile_rule_plans(rule: Rule) -> RulePlans:
     # Streaming fires bindings while enumeration is still probing the
     # store, so any head predicate the body reads — positively OR under
     # negation — would let this round's own firings leak into this
-    # round's matches.  The legacy path enumerates fully before firing.
+    # round's matches; the two-phase path enumerates fully before
+    # firing.  Eval steps keep a rule two-phase too, so an expression
+    # error aborts the chase before the application fires anything.
     body_predicates = {
         lit.atom.predicate for lit in rule.body
         if not lit.atom.is_external

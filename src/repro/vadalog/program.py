@@ -157,7 +157,6 @@ class Program:
         termination: str = "restricted",
         listener=None,
         preflight: bool = True,
-        use_plans: Optional[bool] = None,
         analyze: bool = False,
         use_columnar: Optional[bool] = None,
         columnar_threshold: Optional[int] = None,
@@ -174,11 +173,6 @@ class Program:
         negation, arity clashes...) abort with a
         :class:`~repro.errors.StaticAnalysisError` instead of a
         chase-time crash or a silently wrong answer.
-
-        ``use_plans`` selects the evaluation path: compiled join plans
-        (default) or the legacy recursive enumerator (``False``); the
-        ``CHASE_LEGACY_ENUMERATION=1`` environment variable flips the
-        default, see ``docs/engine-internals.md``.
 
         ``analyze=True`` runs EXPLAIN ANALYZE: per-step actuals (rows
         in/out, probe hits, wall time) are collected and surface as
@@ -214,7 +208,6 @@ class Program:
             max_facts=max_facts,
             termination=termination,
             listener=listener,
-            use_plans=use_plans,
             analyze=analyze,
             use_columnar=use_columnar,
             columnar_threshold=columnar_threshold,

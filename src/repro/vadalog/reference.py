@@ -38,6 +38,17 @@ Semantics implemented (mirroring the engine's documented contract):
 * the same ``max_rounds`` (per stratum) and ``max_facts`` budgets,
   raising :class:`~repro.errors.EvaluationError` with an ``exceeded``
   message so the conformance runner can classify budget exhaustion.
+
+Evaluation errors (the rule ``docs/vadalog-syntax.md`` documents and
+the engine is tested against): assignments and conditions run only on
+a *complete* body match — every positive atom joined, every negation
+passed — assignments in rule order, then conditions in rule order,
+stopping at the first failure.  An expression that raises there aborts
+the run; an expression is never evaluated on a partial binding, so an
+error the engine meets on a binding that completes no match cannot
+occur here (the engine masks it).  Rules whose assignments read
+variables only externals bind never reach this oracle: it rejects
+externals outright, and the engine rejects such rules when compiling.
 """
 
 from __future__ import annotations

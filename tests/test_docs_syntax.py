@@ -59,3 +59,25 @@ class TestSyntaxDoc:
         )
         result = program.run(termination="isomorphic")
         assert result.nulls_introduced == 2
+
+
+class TestEvaluationErrorsSection:
+    """The "Evaluation errors" examples behave as documented on both
+    backends."""
+
+    def blocks(self):
+        return [b for b in prolog_blocks() if "/ 0" in b]
+
+    def test_aborting_example_raises(self):
+        from repro.errors import EvaluationError
+
+        (aborts,) = [b for b in self.blocks() if "aborts" in b]
+        for columnar in (True, False):
+            with pytest.raises(EvaluationError):
+                Program.parse(aborts).run(use_columnar=columnar)
+
+    def test_masked_example_runs(self):
+        (runs,) = [b for b in self.blocks() if "masked" in b]
+        for columnar in (True, False):
+            result = Program.parse(runs).run(use_columnar=columnar)
+            assert result.tuples("out") == [(1.0,)]

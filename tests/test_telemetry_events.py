@@ -151,82 +151,59 @@ class TestFold:
         assert summary["by_type"] == {"future-thing": 1}
         assert summary["events"] == 1
 
-    def test_plan_fallback_folds_by_rule(self):
-        summary = new_summary()
-        for rule in ("r1", "r1", "r2"):
-            fold(summary, {
-                "type": "plan_fallback",
-                "payload": {"rule": rule, "error": "EvaluationError"},
-            })
-        assert summary["plan_fallbacks"] == {
-            "total": 3, "by_rule": {"r1": 2, "r2": 1},
-        }
-
     def test_plan_fallback_section_tolerates_old_summaries(self):
-        # A summary dict from before the section existed (e.g. built
-        # by an older fold and carried forward) must not crash.
+        # Streams and summaries written before plan_fallback events
+        # were retired still fold: the event lands in by_type only and
+        # an old summary's plan_fallbacks section is carried untouched.
         summary = new_summary()
-        del summary["plan_fallbacks"]
+        assert "plan_fallbacks" not in summary
+        summary["plan_fallbacks"] = {"total": 2, "by_rule": {"r": 2}}
         fold(summary, {"type": "plan_fallback",
                        "payload": {"rule": "r"}})
-        assert summary["plan_fallbacks"]["total"] == 1
+        assert summary["by_type"] == {"plan_fallback": 1}
+        assert summary["plan_fallbacks"] == {
+            "total": 2, "by_rule": {"r": 2},
+        }
 
 
-class TestPlanFallbackEvents:
-    # Legacy never evaluates Q for X=2 (the join on f filters it out),
-    # so the planned path's pushed-down division hits 0 mid-join and
-    # must fall back — the scenario the audit event exists for.
+class TestMaskEvents:
     # Mutual recursion keeps both rules in one stratum, so e(2, 0)
     # arrives as a *delta* fact; the delta plan's pushed-down division
-    # then raises mid-join and the engine falls back to legacy
-    # enumeration (which joins f first and never evaluates 2/0).
-    FALLBACK_PROGRAM = (
+    # raises mid-join on a binding f(2) never completes, and the row
+    # path masks it.
+    MASK_PROGRAM = (
         'f(1). e(1, 1). seed(2).\n@label("div").\n'
         'out(Q) :- e(X, Y), Q = X / Y, f(X).\n'
         'e(X, 0) :- out(Q), seed(X).\n@output("out").\n'
     )
 
-    # use_columnar=False below: the batched executor *masks* the
-    # raising row instead (it can prove legacy never finishes it —
-    # see test_columnar.py); the row path's fallback event machinery
-    # stays reachable through the escape hatch.
-
-    def test_chase_emits_plan_fallback_event(self):
-        telemetry.enable(events=True)
-        Program.parse(self.FALLBACK_PROGRAM).run(
-            preflight=False, use_columnar=False
-        )
-        log = telemetry.events()
-        fallbacks = log.tail("plan_fallback")
-        assert fallbacks, "fallback run emitted no plan_fallback event"
-        payload = fallbacks[0]["payload"]
-        assert payload["rule"] == "div"
-        assert payload["error"] == "EvaluationError"
-        assert "reason" in payload
-        assert {"stratum", "round"} <= set(payload)
-        assert log.summary()["plan_fallbacks"]["by_rule"]["div"] >= 1
-
-    def test_plan_fallback_events_replay_from_file(self, tmp_path):
+    def test_row_path_mask_events_replay_from_file(self, tmp_path):
         path = tmp_path / "events.jsonl"
         telemetry.enable(events_path=str(path))
         log = telemetry.events()
-        Program.parse(self.FALLBACK_PROGRAM).run(
+        Program.parse(self.MASK_PROGRAM).run(
             preflight=False, use_columnar=False
         )
         telemetry.disable()
         summary = replay(str(path))
         assert summary == log.summary()
-        assert summary["plan_fallbacks"]["total"] >= 1
-        assert summary["plan_fallbacks"]["by_rule"] == {
-            "div": summary["plan_fallbacks"]["total"],
-        }
+        assert summary["by_type"]["batch_mask"] == 1
 
-    def test_no_fallback_no_event(self):
+    def test_no_mask_no_event(self):
         telemetry.enable(events=True)
         Program.parse(TRANSITIVE).run()
+        assert telemetry.events().tail("batch_mask") == []
+
+
+class TestPlanFallbackEvents:
+    def test_no_fallback_no_event(self):
+        # The chase has no fallback path: even a run whose pushed-down
+        # expression raises and masks emits no plan_fallback event.
+        telemetry.enable(events=True)
+        Program.parse(TestMaskEvents.MASK_PROGRAM).run(preflight=False)
         log = telemetry.events()
         assert log.tail("plan_fallback") == []
-        assert log.summary()["plan_fallbacks"]["total"] == 0
+        assert "plan_fallback" not in log.summary()["by_type"]
 
 
 class TestFileReplay:

@@ -75,7 +75,7 @@ class TestRenderExplain:
             "version": 1,
             "analyze": analyze,
             "rules": [{
-                "rule": "hop", "stratum": 0, "unplannable": False,
+                "rule": "hop", "stratum": 0,
                 "streamable": True, "plans": [plan],
             }],
         }
@@ -95,14 +95,6 @@ class TestRenderExplain:
         assert "probes=1/1 (100% hit)" in text
         assert "1.5us" in text
 
-    def test_unplannable_rule_rendered_with_reason(self):
-        doc = {"analyze": False, "rules": [{
-            "rule": "bad", "unplannable": True,
-            "reason": "reads external-only variables",
-        }]}
-        text = render_explain(doc)
-        assert "rule bad: UNPLANNABLE — reads external-only" in text
-
     def test_empty_program(self):
         text = render_explain({"analyze": False, "rules": []})
         assert "0 rule(s)" in text
@@ -110,7 +102,7 @@ class TestRenderExplain:
 
     def test_empty_plan_marked_unconditional(self):
         doc = {"analyze": False, "rules": [{
-            "rule": "r", "unplannable": False,
+            "rule": "r",
             "plans": [{"name": "first-round", "steps": []}],
         }]}
         assert "fires unconditionally" in render_explain(doc)

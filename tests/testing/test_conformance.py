@@ -173,47 +173,43 @@ def test_program_roundtrips_through_renderer():
 
 
 class TestEngineVariant:
-    """The engine_variant knob: planned, legacy, and three-way."""
+    """The engine variants the harness runs against the oracle: the
+    dict and columnar backends, or both (a columnar/dict/oracle
+    three-way check)."""
 
     def test_unknown_variant_rejected(self):
         program = generate_program(random.Random(5), GeneratorConfig())
         try:
-            run_one(program, engine_variant="quantum")
+            run_one(program, backend="quantum")
         except ValueError as exc:
             assert "quantum" in str(exc)
         else:  # pragma: no cover
             raise AssertionError("expected ValueError")
 
-    def test_legacy_variant_agrees_with_oracle(self):
-        report = run_conformance(
-            base_seed=77100, examples=15, engine_variant="legacy"
-        )
-        assert report.disagreements == []
-
     def test_both_variant_three_way_agreement(self):
         report = run_conformance(
-            base_seed=77200, examples=15, engine_variant="both"
+            base_seed=77200, examples=15, backend="both"
         )
         assert report.disagreements == []
 
     def test_artifact_records_engine_variant(self, tmp_path):
         config = GeneratorConfig()
         program = generate_program(random.Random(77001), config)
-        outcome = run_one(program, engine_variant="both")
+        outcome = run_one(program, backend="both")
         outcome.seed = 77001
         path = write_artifact(
             str(tmp_path), 77001, 77000, config, outcome, program,
             minimized=None, max_rounds=400, max_facts=4000,
-            termination="restricted", engine_variant="both",
+            termination="restricted", backend="both",
         )
         payload = json.loads(open(path).read())
-        assert payload["engine_variant"] == "both"
+        assert payload["backend"] == "both"
         replayed = replay_artifact(path)
         assert replayed.status == outcome.status
 
-    def test_planned_vs_legacy_disagreement_is_caught(self):
-        # Sabotage the planned path via a monkeypatched engine run to
-        # prove the 'both' variant actually compares the two paths.
+    def test_columnar_vs_dict_disagreement_is_caught(self):
+        # Sabotage the columnar run to prove the 'both' backend lane
+        # actually compares the two backends before the oracle.
         from repro.testing import conformance as mod
         from repro.vadalog.atoms import Atom
 
@@ -221,17 +217,17 @@ class TestEngineVariant:
         real = mod._run_engine
 
         def crooked(prog, max_rounds, max_facts, termination,
-                    use_plans=True, backend="dict", **kwargs):
+                    backend="dict"):
             run = real(prog, max_rounds, max_facts, termination,
-                       use_plans=use_plans, backend=backend, **kwargs)
-            if use_plans and run.kind == "ok":
+                       backend=backend)
+            if backend == "columnar" and run.kind == "ok":
                 run.facts = run.facts | {Atom.of("smuggled", 1)}
             return run
 
         mod._run_engine = crooked
         try:
-            outcome = run_one(program, engine_variant="both")
+            outcome = run_one(program, backend="both")
         finally:
             mod._run_engine = real
         assert outcome.is_disagreement
-        assert "planned" in outcome.detail
+        assert "columnar" in outcome.detail

@@ -4,9 +4,9 @@ Covers the dictionary-encoded columnar relation (round-trips, lazy
 encoding, frontier bookkeeping), the cardinality-threshold promotion
 policy and its escape hatches, the batched executor's differential
 equivalence with the tuple-at-a-time dict backend on generated warded
-programs, the batched error-masking contract (mask vs fall back, in
-both directions), and the memory/EXPLAIN ANALYZE reporting for
-columnar predicates.
+programs, the error-masking contract (mask vs raise, in both
+directions, on both backends against the naive oracle), and the
+memory/EXPLAIN ANALYZE reporting for columnar predicates.
 """
 
 import os
@@ -29,6 +29,7 @@ from repro.vadalog.database import (
     columnar_default_enabled,
     columnar_default_threshold,
 )
+from repro.vadalog.reference import naive_chase
 from repro.vadalog.terms import Constant, LabelledNull, wrap_tuple
 
 
@@ -323,25 +324,29 @@ class TestDictColumnarEquivalence:
         )
 
         program = generate_program(rng, GeneratorConfig())
-        outcome = run_one(program, engine_variant="both", backend="both")
+        outcome = run_one(program, backend="both")
         assert not outcome.is_disagreement, (
             f"{outcome.status}: {outcome.detail}\n{program.to_source()}"
         )
 
 
 # ---------------------------------------------------------------------------
-# Batched error masking: suppress per-row, or fall back — both
-# directions, matching the legacy evaluator exactly.
+# Error masking: drop a row whose error completes no match, raise when
+# it does — both directions, on both backends, matching the oracle.
+
+
+BACKENDS = (
+    ("columnar", dict(use_columnar=True, columnar_threshold=1)),
+    ("dict", dict(use_columnar=False)),
+)
 
 
 class TestBatchedErrorMasking:
     # Mutual recursion delivers e(2, 0) as a *delta* fact, so the
-    # delta plan's pushed-down division raises mid-batch.  The legacy
-    # evaluator joins all positives first and f(2) is absent — legacy
-    # provably never evaluates 2/0 — so the batched executor must mask
-    # that single row and keep the rest of the batch.  (The row path
-    # falls back to legacy enumeration here instead; see
-    # test_telemetry_events.TestPlanFallbackEvents for that lane.)
+    # delta plan's pushed-down division raises mid-join.  The oracle
+    # joins all positives first and f(2) is absent — it never
+    # evaluates 2/0 — so both executors must mask that single row and
+    # keep the rest.
     MASK_PROGRAM = (
         'f(1). e(1, 1). seed(2).\n@label("div").\n'
         'out(Q) :- e(X, Y), Q = X / Y, f(X).\n'
@@ -349,37 +354,29 @@ class TestBatchedErrorMasking:
     )
 
     # Here the raising row *does* complete the join (f(1) matches), so
-    # legacy raises too: the batched path must fall back and reproduce
-    # the legacy error, never silently masking it away.
+    # the oracle raises too: the engine must raise, never silently
+    # masking the error away.
     RAISE_PROGRAM = (
         'f(1). e(1, 0).\n@label("div").\n'
         'out(Q) :- e(X, Y), Q = X / Y, f(X).\n@output("out").\n'
     )
 
     def test_masked_row_matches_legacy_exactly(self):
-        results = {}
-        for name, kwargs in (
-            ("columnar", dict(use_columnar=True, columnar_threshold=1)),
-            ("dict", dict(use_columnar=False)),
-            ("legacy", dict(use_plans=False, use_columnar=False)),
-        ):
+        program = Program.parse(self.MASK_PROGRAM)
+        oracle = naive_chase(program.rules, program.facts)
+        for _name, kwargs in BACKENDS:
             result = Program.parse(self.MASK_PROGRAM).run(
                 preflight=False, **kwargs
             )
-            results[name] = frozenset(result.facts())
-        assert results["columnar"] == results["dict"] == results["legacy"]
-        out = Program.parse(self.MASK_PROGRAM).run(
-            preflight=False, use_columnar=True, columnar_threshold=1
-        )
-        assert sorted(out.tuples("out")) == [(1.0,)]
+            assert frozenset(result.facts()) == frozenset(oracle.facts())
+            assert sorted(result.tuples("out")) == [(1.0,)]
 
     def test_raising_row_falls_back_and_reproduces_legacy_error(self):
-        for kwargs in (
-            dict(use_columnar=True, columnar_threshold=1),
-            dict(use_columnar=False),
-            dict(use_plans=False),
-        ):
-            with pytest.raises(EvaluationError):
+        program = Program.parse(self.RAISE_PROGRAM)
+        with pytest.raises(EvaluationError):
+            naive_chase(program.rules, program.facts)
+        for _name, kwargs in BACKENDS:
+            with pytest.raises(EvaluationError, match="division by zero"):
                 Program.parse(self.RAISE_PROGRAM).run(
                     preflight=False, **kwargs
                 )
@@ -387,43 +384,47 @@ class TestBatchedErrorMasking:
     def test_mask_emits_schema_versioned_event_not_fallback(self):
         from repro.telemetry.events import EVENT_SCHEMA_VERSION
 
-        telemetry.enable(events=True)
-        Program.parse(self.MASK_PROGRAM).run(
-            preflight=False, use_columnar=True, columnar_threshold=1,
-        )
-        log = telemetry.events()
-        masks = log.tail("batch_mask")
-        assert masks, "masked run emitted no batch_mask event"
-        event = masks[0]
-        assert event["v"] == EVENT_SCHEMA_VERSION
-        payload = event["payload"]
-        assert payload["rule"] == "div"
-        assert payload["op"] == "assign"
-        assert payload["error"] == "EvaluationError"
-        assert payload["rows"] == 1
-        assert {"step", "stratum", "round"} <= set(payload)
-        # The row was masked, not abandoned: no plan fallback happened.
-        assert not log.tail("plan_fallback")
+        for _name, kwargs in BACKENDS:
+            telemetry.reset()
+            telemetry.enable(events=True)
+            result = Program.parse(self.MASK_PROGRAM).run(
+                preflight=False, **kwargs
+            )
+            log = telemetry.events()
+            masks = log.tail("batch_mask")
+            assert len(masks) == 1, "masked run emitted no batch_mask event"
+            event = masks[0]
+            assert event["v"] == EVENT_SCHEMA_VERSION
+            payload = event["payload"]
+            assert payload["rule"] == "div"
+            assert payload["op"] == "assign"
+            assert payload["error"] == "EvaluationError"
+            assert payload["rows"] == 1
+            assert {"step", "stratum", "round"} <= set(payload)
+            # The row was masked, not abandoned: the rule kept its
+            # output.
+            assert result.tuples("out") == [(1.0,)]
+            telemetry.disable()
 
     def test_mask_counter_attributed_to_rule(self):
-        telemetry.enable()
-        Program.parse(self.MASK_PROGRAM).run(
-            preflight=False, use_columnar=True, columnar_threshold=1,
-        )
-        counters = telemetry.registry().counters("chase.batch_masked_rows")
-        assert sum(counters.values()) == 1
-        assert any("div" in key for key in counters)
+        for _name, kwargs in BACKENDS:
+            telemetry.reset()
+            telemetry.enable()
+            Program.parse(self.MASK_PROGRAM).run(preflight=False, **kwargs)
+            counters = telemetry.registry().counters(
+                "chase.batch_masked_rows"
+            )
+            assert sum(counters.values()) == 1
+            assert any("div" in key for key in counters)
+            telemetry.disable()
 
-    def test_fallback_emits_event_under_batching(self):
+    def test_raise_emits_no_mask_event(self):
         telemetry.enable(events=True)
         with pytest.raises(EvaluationError):
             Program.parse(self.RAISE_PROGRAM).run(
                 preflight=False, use_columnar=True, columnar_threshold=1
             )
-        log = telemetry.events()
-        fallbacks = log.tail("plan_fallback")
-        assert fallbacks, "fallback run emitted no plan_fallback event"
-        assert fallbacks[0]["payload"]["rule"] == "div"
+        assert not telemetry.events().tail("batch_mask")
 
 
 # ---------------------------------------------------------------------------

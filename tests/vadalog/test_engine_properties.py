@@ -189,93 +189,3 @@ class TestQueryAnswering:
         result = program.run()
         answers = result.query("pair(X, X)")
         assert [row["X"] for row in answers] == [1]
-
-
-# ---------------------------------------------------------------------------
-# Differential: compiled join plans vs the legacy recursive enumerator.
-
-
-class TestPlannedVsLegacy:
-    """The compiled-plan path must be observationally identical to the
-    legacy enumerator it replaced.  Failures are written as replayable
-    conformance seed artifacts (the embedded rendered program replays
-    with ``python -m repro.testing.conformance --replay <path>``).
-    """
-
-    MAX_ROUNDS = 400
-    MAX_FACTS = 4_000
-
-    def _save_failure(self, program, detail):
-        from repro.testing.conformance import (
-            ConformanceOutcome, write_artifact,
-        )
-        from repro.testing.generator import GeneratorConfig
-
-        path = write_artifact(
-            "conformance-artifacts",
-            seed=0,
-            base_seed=0,
-            config=GeneratorConfig(),
-            outcome=ConformanceOutcome("disagree", detail),
-            program=program,
-            minimized=None,
-            max_rounds=self.MAX_ROUNDS,
-            max_facts=self.MAX_FACTS,
-            termination="restricted",
-            engine_variant="both",
-        )
-        return f"{detail}\nartifact: {path}"
-
-    def _run(self, program, use_plans):
-        try:
-            result = program.run(
-                provenance=True,
-                max_rounds=self.MAX_ROUNDS,
-                max_facts=self.MAX_FACTS,
-                preflight=False,
-                use_plans=use_plans,
-            )
-        except Exception as exc:  # noqa: BLE001 — crashes compared too
-            return ("error", type(exc).__name__)
-        return (
-            "ok",
-            frozenset(result.facts()),
-            len(result.provenance),
-            result.rounds,
-        )
-
-    @given(rng=st.randoms(use_true_random=False))
-    def test_identical_facts_provenance_and_rounds(self, rng):
-        """Without existentials and aggregates the two paths agree on
-        everything: fact sets (labels and all), provenance entry
-        counts, and semi-naive round counts."""
-        from repro.testing.generator import (
-            GeneratorConfig, generate_program,
-        )
-
-        config = GeneratorConfig(p_existential=0.0, p_aggregate=0.0)
-        program = generate_program(rng, config)
-        planned = self._run(program, use_plans=True)
-        legacy = self._run(program, use_plans=False)
-        if planned != legacy:
-            raise AssertionError(self._save_failure(
-                program,
-                f"planned {planned[:2]} != legacy {legacy[:2]}",
-            ))
-
-    @given(rng=st.randoms(use_true_random=False))
-    def test_three_way_agreement_full_feature_mix(self, rng):
-        """With the full generator feature mix (existentials,
-        aggregates, negation, EGDs) planned, legacy and the naive
-        reference agree up to null isomorphism."""
-        from repro.testing.conformance import run_one
-        from repro.testing.generator import (
-            GeneratorConfig, generate_program,
-        )
-
-        program = generate_program(rng, GeneratorConfig())
-        outcome = run_one(program, engine_variant="both")
-        if outcome.is_disagreement:
-            raise AssertionError(
-                self._save_failure(program, outcome.detail)
-            )
